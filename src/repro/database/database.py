@@ -26,6 +26,7 @@ from typing import Dict, Iterator, Mapping, Optional
 
 from repro.database.transitions import DatabaseTransition
 from repro.errors import SchemaMismatchError, UnknownRelationError
+from repro.multiset import Delta
 from repro.relation import Relation
 from repro.schema import DatabaseSchema, RelationSchema
 
@@ -142,28 +143,40 @@ class Database:
     def install(self, state: DatabaseState) -> DatabaseTransition:
         """Commit ``state`` as ``D^{t+1}`` and advance logical time.
 
-        Records and returns the single-step transition
-        ``(D^t, D^{t+1})`` per Definition 2.6.
+        Per relation the net change ``(Δ⁻, Δ⁺)`` is read off the deltas
+        the statements chained onto the new relation
+        (:meth:`~repro.relation.Relation.delta_from`; a diff only for
+        hand-built states).  A relation whose net delta is empty keeps
+        its installed object and its epoch; every other one bumps its
+        epoch.  The recorded single-step transition (Definition 2.6)
+        holds only the deltas, and the installed relations drop their
+        link to the versions they replace, so no superseded state stays
+        reachable from the database.
         """
-        before = self.snapshot()
+        before = self._relations
         after = dict(state)
-        transition = DatabaseTransition(
-            before, after, self._logical_time, self._logical_time + 1
-        )
-        self._relations = after
-        self._logical_time += 1
-        self._transitions.append(transition)
-        # Bump the epoch of exactly the relations this transition changed
-        # (same object, or equal value, means untouched — statements copy
-        # the state dict, not the immutable relation values).
+        deltas: Dict[str, Delta] = {}
         for name in before.keys() | after.keys():
             old = before.get(name)
             new = after.get(name)
             if old is new:
                 continue
-            if old is not None and new is not None and old == new:
-                continue
+            if new is None:
+                delta = Delta(minus=old.tuples)
+            else:
+                delta = new.delta_from(old) if old is not None else Delta(plus=new.tuples)
+                new.forget_lineage()
+                if old is not None and not delta:
+                    after[name] = old
+                    continue
+            deltas[name] = delta
             self._bump_epoch(name)
+        transition = DatabaseTransition.from_deltas(
+            deltas, self._logical_time, self._logical_time + 1
+        )
+        self._relations = after
+        self._logical_time += 1
+        self._transitions.append(transition)
         return transition
 
     @property

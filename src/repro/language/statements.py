@@ -25,8 +25,10 @@ from repro.algebra import (
     LiteralRelation,
 )
 from repro.algebra.base import ConditionLike, as_condition
+from repro.engine import evaluate
 from repro.errors import SchemaMismatchError
 from repro.language.context import ExecutionContext
+from repro.multiset import Delta
 
 __all__ = ["Statement", "Insert", "Delete", "Update", "Assign", "Query"]
 
@@ -52,7 +54,9 @@ class Insert(Statement):
             raise SchemaMismatchError(
                 current.schema, addition.schema, f"insert into {self.target!r}"
             )
-        context.set_relation(self.target, current.union(addition))
+        context.set_relation(
+            self.target, current.apply_delta(Delta(plus=addition.tuples))
+        )
 
     def __repr__(self) -> str:
         return f"insert({self.target}, {self.expression!r})"
@@ -72,7 +76,11 @@ class Delete(Statement):
             raise SchemaMismatchError(
                 current.schema, removal.schema, f"delete from {self.target!r}"
             )
-        context.set_relation(self.target, current.difference(removal))
+        # R − E = R − (R ∩ E): removing only what R holds never floors.
+        matched = current.intersection(removal)
+        context.set_relation(
+            self.target, current.apply_delta(Delta(minus=matched.tuples))
+        )
 
     def __repr__(self) -> str:
         return f"delete({self.target}, {self.expression!r})"
@@ -124,9 +132,12 @@ class Update(Statement):
                 rewritten_expr.schema,
                 f"update {self.target!r} attribute expression list",
             )
-        rewritten = context.evaluate(rewritten_expr)
+        # π̂_α over a literal reads no relation: evaluated through the
+        # query cache it would only park entries no epoch can invalidate.
+        rewritten = evaluate(rewritten_expr, {})
         context.set_relation(
-            self.target, current.difference(selector).union(rewritten)
+            self.target,
+            current.apply_delta(Delta(matched.tuples, rewritten.tuples)),
         )
 
     def __repr__(self) -> str:

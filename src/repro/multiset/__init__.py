@@ -7,7 +7,7 @@ multiplicity-summing map (projection), multiplicity-multiplying product,
 duplicate elimination, and the multi-subset / equality comparisons.
 """
 
-from repro.multiset.multiset import Multiset
+from repro.multiset.multiset import Delta, Multiset
 from repro.multiset.ops import (
     difference,
     distinct,
@@ -23,6 +23,7 @@ from repro.multiset.ops import (
 
 __all__ = [
     "Multiset",
+    "Delta",
     "union",
     "difference",
     "intersection",

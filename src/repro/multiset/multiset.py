@@ -33,7 +33,7 @@ from typing import (
     TypeVar,
 )
 
-__all__ = ["Multiset"]
+__all__ = ["Multiset", "Delta"]
 
 T = TypeVar("T", bound=Hashable)
 
@@ -209,7 +209,14 @@ class Multiset(Generic[T]):
         return Multiset._from_counts(counts)
 
     def difference(self, other: "Multiset[T]") -> "Multiset[T]":
-        """Monus difference ``−``: ``(E1 − E2)(x) = max(0, E1(x) − E2(x))``."""
+        """Monus difference ``−``: ``(E1 − E2)(x) = max(0, E1(x) − E2(x))``.
+
+        When ``other`` is the smaller side this is the :meth:`apply_delta`
+        kernel with the monus floor: copy ``self``, then adjust only
+        ``other``'s entries, instead of looping over ``self``.
+        """
+        if other.support_size < self.support_size:
+            return self._adjusted(other._counts, {}, exact=False)
         counts: Dict[T, int] = {}
         other_counts = other._counts
         for element, count in self._counts.items():
@@ -217,6 +224,51 @@ class Multiset(Generic[T]):
             if remaining > 0:
                 counts[element] = remaining
         return Multiset._from_counts(counts)
+
+    def apply_delta(
+        self, minus: "Multiset[T]", plus: "Multiset[T]"
+    ) -> "Multiset[T]":
+        """``(self − minus) ⊎ plus`` for ``minus ⊆ₘ self``: apply a Z-delta.
+
+        The counts are copied at C speed and only the ``|minus| + |plus|``
+        changed entries are touched in Python.  Because ``minus`` is a
+        sub-multiset the monus never floors and the update is exact; a
+        ``minus`` that would drive a multiplicity negative raises
+        :class:`ValueError`.
+        """
+        return self._adjusted(minus._counts, plus._counts, exact=True)
+
+    def _adjusted(
+        self, minus: Mapping[T, int], plus: Mapping[T, int], exact: bool
+    ) -> "Multiset[T]":
+        """Copy, subtract ``minus``, add ``plus`` — the shared write kernel.
+
+        With ``exact`` an over-subtraction raises; without it the count
+        floors at zero (the monus).
+        """
+        counts = dict(self._counts)
+        size = self._size
+        for element, count in minus.items():
+            present = counts.get(element, 0)
+            remaining = present - count
+            if remaining > 0:
+                counts[element] = remaining
+                size -= count
+            elif remaining < 0 and exact:
+                raise ValueError(
+                    f"delta removes {count} of {element!r}, "
+                    f"which occurs {present} time(s)"
+                )
+            elif present:
+                del counts[element]
+                size -= present
+        for element, count in plus.items():
+            counts[element] = counts.get(element, 0) + count
+            size += count
+        instance = Multiset.__new__(Multiset)
+        instance._counts = counts
+        instance._size = size
+        return instance
 
     def intersection(self, other: "Multiset[T]") -> "Multiset[T]":
         """Intersection ``∩``: ``(E1 ∩ E2)(x) = min(E1(x), E2(x))``."""
@@ -370,6 +422,67 @@ class Multiset(Generic[T]):
         )
         suffix = ", ..." if self.support_size > 8 else ""
         return f"Multiset({{{preview}{suffix}}})"
+
+
+class Delta(Generic[T]):
+    """A change to a bag, ``(Δ⁻, Δ⁺)``: one multiset over Z split by sign.
+
+    Applying it to ``R`` gives ``(R − Δ⁻) ⊎ Δ⁺``
+    (:meth:`Multiset.apply_delta`).  Deleting one instance of ``x`` is
+    ``(x, −1)``, not "the tuple ``x``".  A *normalized* delta has
+    disjoint supports, so it states the net change of every element;
+    :meth:`normalized` cancels what both sides share.
+    """
+
+    __slots__ = ("minus", "plus")
+
+    def __init__(
+        self,
+        minus: "Multiset[T] | None" = None,
+        plus: "Multiset[T] | None" = None,
+    ) -> None:
+        self.minus: Multiset[T] = minus if minus is not None else Multiset.empty()
+        self.plus: Multiset[T] = plus if plus is not None else Multiset.empty()
+
+    @classmethod
+    def between(cls, before: Multiset[T], after: Multiset[T]) -> "Delta[T]":
+        """The normalized delta turning ``before`` into ``after`` (a full diff)."""
+        return cls(before.difference(after), after.difference(before))
+
+    def normalized(self) -> "Delta[T]":
+        """The same net change with the shared part cancelled."""
+        shared = self.minus.intersection(self.plus)
+        if not shared:
+            return self
+        return Delta(self.minus.difference(shared), self.plus.difference(shared))
+
+    def then(self, later: "Delta[T]") -> "Delta[T]":
+        """This change followed by ``later``, as one normalized delta."""
+        return Delta(
+            self.minus.union(later.minus), self.plus.union(later.plus)
+        ).normalized()
+
+    def inverse(self) -> "Delta[T]":
+        """The change that undoes this one: ``(Δ⁺, Δ⁻)``."""
+        return Delta(self.plus, self.minus)
+
+    @property
+    def support_size(self) -> int:
+        """Distinct elements stored on both sides — the delta's footprint."""
+        return self.minus.support_size + self.plus.support_size
+
+    def __bool__(self) -> bool:
+        return bool(self.minus) or bool(self.plus)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Delta):
+            return self.minus == other.minus and self.plus == other.plus
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Delta(minus={self.minus!r}, plus={self.plus!r})"
 
 
 def _check_count(count: int) -> None:

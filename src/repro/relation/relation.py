@@ -28,7 +28,7 @@ from typing import (
 
 from repro.aggregates import AggregateFunction
 from repro.errors import SchemaMismatchError, UnboundAttributeError
-from repro.multiset import Multiset
+from repro.multiset import Delta, Multiset
 from repro.schema import AttrRefLike, RelationSchema
 from repro.tuples import Row, concat_tuples, project_tuple, validate_tuple
 
@@ -49,7 +49,7 @@ def _param_value(row: Row, param_position: int) -> Any:
 class Relation:
     """A multi-set of tuples over a fixed relation schema."""
 
-    __slots__ = ("_schema", "_tuples")
+    __slots__ = ("_schema", "_tuples", "_lineage", "__weakref__")
 
     def __init__(
         self,
@@ -59,6 +59,8 @@ class Relation:
         validate: bool = True,
     ) -> None:
         self._schema = schema
+        #: ``(base, net delta since base)`` when built by :meth:`apply_delta`.
+        self._lineage: Optional[Tuple["Relation", Delta[Row]]] = None
         if isinstance(rows, Mapping):
             if validate:
                 pairs = [
@@ -81,7 +83,12 @@ class Relation:
         relation = cls.__new__(cls)
         relation._schema = schema
         relation._tuples = tuples
+        relation._lineage = None
         return relation
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # Lineage is install bookkeeping, not part of the value.
+        return (Relation.from_multiset, (self._schema, self._tuples))
 
     @classmethod
     def from_pairs(
@@ -204,6 +211,43 @@ class Relation:
         return Relation.from_multiset(
             self._schema, self._tuples.difference(other._tuples)
         )
+
+    def apply_delta(self, delta: Delta[Row]) -> "Relation":
+        """``(R − Δ⁻) ⊎ Δ⁺`` — a write's effect, O(|Δ|) past a dict copy.
+
+        ``delta.minus`` must be a sub-multiset of this relation (the
+        statements of Definition 4.1 guarantee it, ``Δ⁻ = R ∩ E``), so
+        no multiplicity floors or goes negative; :class:`ValueError`
+        otherwise.  The result remembers its base and the delta composed
+        since, so :meth:`delta_from` reads the net change without
+        comparing bags.
+        """
+        result = Relation.from_multiset(
+            self._schema, self._tuples.apply_delta(delta.minus, delta.plus)
+        )
+        if self._lineage is None:
+            result._lineage = (self, delta)
+        else:
+            base, earlier = self._lineage
+            result._lineage = (base, earlier.then(delta))
+        return result
+
+    def delta_from(self, base: "Relation") -> Delta[Row]:
+        """The normalized net change that turns ``base`` into this relation.
+
+        Read off the remembered deltas when this relation descends from
+        ``base`` through :meth:`apply_delta` — O(Σ|Δ|); otherwise (a
+        hand-built relation) a full diff of the two bags.
+        """
+        if self is base:
+            return Delta()
+        if self._lineage is not None and self._lineage[0] is base:
+            return self._lineage[1].normalized()
+        return Delta.between(base._tuples, self._tuples)
+
+    def forget_lineage(self) -> None:
+        """Drop the link to the base relation, so the base can be freed."""
+        self._lineage = None
 
     def product(self, other: "Relation") -> "Relation":
         """``E1 × E2`` — tuples concatenate, multiplicities multiply."""

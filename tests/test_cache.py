@@ -526,3 +526,16 @@ def test_differential_cached_parallel_vs_uncached_serial(env, seed):
             driver.states_agree()
     finally:
         driver.close()
+
+
+def test_update_leaves_no_epochless_entries(env):
+    """π̂_α over the matched literal bypasses the query cache."""
+    database = make_database(env)
+    cache = QueryCache()
+    session = Session(database, cache=cache)
+    for step in range(20):
+        session.update(
+            "t1", session.relation("t1").select(f"%1 = {step % 4}"), ["%1", "%2"]
+        )
+    assert cache.plan_entries == 4  # one per distinct selector
+    assert all(entry.deps for entry in cache._results.values())

@@ -112,3 +112,54 @@ class TestStatesAndTime:
         db = Database()
         db.create_relation(T, Relation(T, [(1, "a")]))
         assert "t[1]" in repr(db)
+
+
+class TestDeltaHistory:
+    """History keeps deltas only; superseded versions are collectable."""
+
+    def test_superseded_versions_die_and_history_is_deltas(self, monkeypatch):
+        import gc
+        import weakref
+
+        from repro.algebra import LiteralRelation, RelationRef
+        from repro.language import Delete, Insert, Update
+        from repro.language.context import ExecutionContext
+        from repro.multiset import Multiset
+
+        db = Database()
+        db.create_relation(T, Relation(T, [(k, "v") for k in range(50)]))
+        ref = RelationRef("t", T)
+        versions = []
+        writes = 12
+        for k in range(writes):
+            versions.append(weakref.ref(db["t"]))
+            row = LiteralRelation(Relation(T, [(100 + k, "w")]))
+            statement = [
+                Insert("t", row),
+                Delete("t", ref.select(f"%1 = {k}")),
+                Update("t", ref.select(f"%1 = {k + 20}"), ["%1", "'u'"]),
+            ][k % 3]
+            context = ExecutionContext(db.snapshot())
+            statement.execute(context)
+            db.install(context.relations)
+        del context
+        gc.collect()
+        assert [version() for version in versions] == [None] * writes
+        assert len(db.transitions) == writes
+        assert all(t.delta_size <= 2 for t in db.transitions)
+
+        def refuse(*_args):
+            raise AssertionError("changed_relations compared full relations")
+
+        monkeypatch.setattr(Multiset, "__eq__", refuse)
+        assert all(t.changed_relations() == ["t"] for t in db.transitions)
+
+    def test_hand_built_state_falls_back_to_a_diff(self):
+        db = Database()
+        db.create_relation(T, Relation(T, [(1, "a"), (1, "a")]))
+        state = db.snapshot()
+        state["t"] = Relation(T, [(1, "a"), (2, "b")]).rename("t")
+        transition = db.install(state)
+        delta = transition.deltas["t"]
+        assert dict(delta.minus.pairs()) == {(1, "a"): 1}
+        assert dict(delta.plus.pairs()) == {(2, "b"): 1}

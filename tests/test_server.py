@@ -502,3 +502,20 @@ def _database_from_state(state: dict) -> Database:
     for name, relation in state.items():
         database.create_relation(relation.schema.strict(), relation)
     return database
+
+
+def test_server_history_keeps_deltas_not_states(server) -> None:
+    import gc
+    import weakref
+
+    database = server.server.database
+    before = len(database.transitions)
+    versions = []
+    with connect(server) as client:
+        for k in range(8):
+            versions.append(weakref.ref(database.get("acct")))
+            client.xra(f"insert(acct, tuples[('w{k}', {k})]);")
+    gc.collect()
+    assert [version() for version in versions] == [None] * 8
+    assert len(database.transitions) == before + 8
+    assert all(t.delta_size == 1 for t in database.transitions[before:])
