@@ -36,7 +36,7 @@ counters) while observability is enabled.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.algebra import AlgebraExpr
 from repro.cache.fingerprint import base_relations, fingerprint
@@ -50,10 +50,6 @@ from repro.obs.telemetry import account as _active_account
 from repro.relation import Relation
 
 __all__ = ["QueryCache", "CacheStats", "CachedResult"]
-
-#: Physical plans kept per plan entry (one per distinct scheduler seen).
-_MAX_PLANS_PER_ENTRY = 4
-
 
 def estimate_bytes(relation: Relation) -> int:
     """A cheap size estimate of a materialised relation.
@@ -114,23 +110,9 @@ class _PlanEntry:
         self.normalized = normalized
         self.fingerprint = fingerprint(normalized)
         self.deps = base_relations(normalized)
-        #: ``((scheduler-or-None, engine), physical plan)`` pairs,
-        #: identity-keyed on the scheduler — a plan embeds its scheduler
-        #: and its operator family, so it is only reusable with both.
-        self.plans: List[Tuple[Tuple[Optional[Any], str], Any]] = []
-
-    def plan_for(self, scheduler: Optional[Any], engine: str) -> Optional[Any]:
-        for (owner, owner_engine), plan in self.plans:
-            if owner is scheduler and owner_engine == engine:
-                return plan
-        return None
-
-    def store_plan(
-        self, scheduler: Optional[Any], engine: str, plan: Any
-    ) -> None:
-        self.plans.append(((scheduler, engine), plan))
-        if len(self.plans) > _MAX_PLANS_PER_ENTRY:
-            self.plans.pop(0)
+        #: One physical plan per engine (``"pairs"``/``"vector"``) — a
+        #: plan embeds its operator family, so it is only reusable there.
+        self.plans: Dict[str, Any] = {}
 
 
 class CachedResult:
@@ -285,18 +267,13 @@ class QueryCache:
         env = context.environment()
         if not context.use_physical_engine:
             return reference_evaluate(entry.normalized, env)
-        scheduler = context.parallel
         engine = getattr(context, "engine", "pairs")
-        physical = entry.plan_for(scheduler, engine)
+        physical = entry.plans.get(engine)
         if physical is None:
-            physical = plan_physical(entry.normalized, scheduler, engine)
-            entry.store_plan(scheduler, engine, physical)
+            physical = plan_physical(entry.normalized, engine=engine)
+            entry.plans[engine] = physical
         return physical_execute(
-            entry.normalized,
-            env,
-            parallel=scheduler,
-            physical=physical,
-            engine=engine,
+            entry.normalized, env, physical=physical, engine=engine
         )
 
     # -- result storage ---------------------------------------------------

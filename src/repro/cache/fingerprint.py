@@ -9,7 +9,7 @@ form share one too, which is what lets the result cache recognise
 ``σ_φ(E1 ⊎ E2)`` and ``σ_φE1 ⊎ σ_φE2`` as the same query.
 
 The fingerprint deliberately excludes anything with no bearing on the
-result value: engine choice, parallelism, schema attribute *names*
+result value: engine choice, schema attribute *names*
 (positional semantics), and the identity of the session that built the
 tree.
 """

@@ -34,10 +34,6 @@ start with a dot:
     .slowlog [SECONDS]    show statements at/above the slow threshold;
                           with SECONDS, set the threshold instead
     .slowlog all          show the full query log (recent entries)
-    .parallel N [BACKEND] execute queries fragment-parallel with N
-                          workers (BACKEND: process|thread|serial,
-                          default process); .parallel off goes back to
-                          serial; bare .parallel shows the status
     .engine NAME          select the physical operator family: "pairs"
                           (tuple-at-a-time streams, the default) or
                           "vector" (columnar batches with compiled
@@ -70,7 +66,7 @@ from typing import List, Optional, TextIO
 from repro.algebra import render
 from repro.cache import QueryCache
 from repro.database import Database
-from repro.engine import StatisticsCatalog, make_scheduler, plan_physical
+from repro.engine import StatisticsCatalog, plan_physical
 from repro.errors import ReproError
 from repro import obs
 from repro.optimizer import optimize
@@ -275,9 +271,6 @@ class Shell:
         if command == ".slowlog":
             self.slowlog_command(argument)
             return None
-        if command == ".parallel":
-            self.parallel_command(argument)
-            return None
         if command == ".engine":
             self.engine_command(argument)
             return None
@@ -335,54 +328,6 @@ class Shell:
             self.print(f"slow-query threshold set to {threshold:g}s")
             return
         self.print(self.query_log.render(slow_only=argument != "all"))
-
-    PARALLEL_USAGE = ".parallel N [process|thread|serial] | .parallel off"
-
-    def parallel_command(self, argument: str) -> None:
-        """``.parallel N [BACKEND]`` / ``.parallel off`` / ``.parallel``."""
-        argument = argument.strip()
-        if not argument:
-            scheduler = self.session.parallel
-            if scheduler is None:
-                self.print(
-                    f"parallel execution is off; usage: {self.PARALLEL_USAGE}"
-                )
-            else:
-                self.print(
-                    f"parallel execution: {scheduler.workers} worker(s), "
-                    f"{scheduler.config.backend} backend"
-                )
-            return
-        if argument == "off":
-            self.set_parallel(None)
-            self.print("parallel execution off")
-            return
-        workers_text, _, backend = argument.partition(" ")
-        backend = backend.strip() or None
-        try:
-            workers = int(workers_text)
-        except ValueError:
-            self.print_error(ReproError(f"usage: {self.PARALLEL_USAGE}"))
-            return
-        try:
-            scheduler = self.set_parallel(workers, backend)
-        except ValueError as error:
-            self.print_error(ReproError(str(error)))
-            return
-        if scheduler is None:
-            self.print("parallel execution off")
-        else:
-            self.print(
-                f"parallel execution: {scheduler.workers} worker(s), "
-                f"{scheduler.config.backend} backend"
-            )
-
-    def set_parallel(self, workers, backend: Optional[str] = None):
-        """Point the session *and* the script interpreter at one pool."""
-        scheduler = make_scheduler(workers, backend)
-        self.session.set_parallel(scheduler)
-        self.interpreter.set_parallel(scheduler)
-        return scheduler
 
     ENGINE_USAGE = ".engine [pairs | vector]"
 
@@ -962,19 +907,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="slow-query threshold in seconds (default 1.0)",
     )
     parser.add_argument(
-        "--parallel",
-        metavar="N",
-        type=int,
-        default=0,
-        help="fragment-parallel query execution with N workers (0 = off)",
-    )
-    parser.add_argument(
-        "--parallel-backend",
-        choices=("process", "thread", "serial"),
-        default="process",
-        help="worker pool backend for --parallel (default: process)",
-    )
-    parser.add_argument(
         "--engine",
         choices=("pairs", "vector"),
         default="pairs",
@@ -1024,8 +956,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         shell.analyze_command("on")
     if options.slow_log is not None:
         shell.query_log.slow_threshold = options.slow_log
-    if options.parallel > 0:
-        shell.set_parallel(options.parallel, options.parallel_backend)
     if options.engine != "pairs":
         shell.set_engine(options.engine)
     if options.cache:
@@ -1059,7 +989,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         if options.trace or options.trace_events:
             obs.disable()
-        shell.session.close()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

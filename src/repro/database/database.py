@@ -6,8 +6,11 @@ transaction produces a single-step transition ``D^t -> D^{t+1}``; the
 database records these transitions so tests and examples can inspect the
 exact state sequence the paper's transaction semantics prescribes.
 
-Relations are immutable values, so snapshots and rollback are cheap:
-a state is just a name->relation dict copy.
+Relations are immutable values, so a snapshot is cheap: a state is
+just a name->relation dict copy.  Nothing but :meth:`install` (and the
+direct DDL-style setters) changes the installed state, so rolling a
+transaction back means discarding its working state — never writing an
+old state over newer commits.
 
 Besides the global logical time, the database keeps one *epoch* per
 relation name: a counter bumped exactly when a committed transition (or
@@ -15,8 +18,7 @@ a direct ``set``/``create_relation``/``drop_relation``) changes that
 relation's contents.  Epochs are the invalidation clock of
 :mod:`repro.cache` — a cached result is valid while the epochs of the
 relations it read are unchanged.  An aborted transaction never reaches
-:meth:`install`, so rollback leaves every epoch at its pre-transition
-value by construction.
+:meth:`install`, so it leaves every epoch untouched by construction.
 """
 
 from __future__ import annotations
@@ -135,10 +137,6 @@ class Database:
     def snapshot(self) -> DatabaseState:
         """The current state ``D^t`` as an immutable value."""
         return dict(self._relations)
-
-    def restore(self, state: DatabaseState) -> None:
-        """Reinstall a previously captured state (used by abort)."""
-        self._relations = dict(state)
 
     def install(self, state: DatabaseState) -> DatabaseTransition:
         """Commit ``state`` as ``D^{t+1}`` and advance logical time.

@@ -15,13 +15,6 @@ from repro.engine.cost import CostModel, estimate_cost
 from repro.engine.evaluator import Environment, evaluate
 from repro.engine.histograms import EquiDepthHistogram, HistogramCatalog
 from repro.engine.iterators import PhysicalOp, collect
-from repro.engine.parallel import (
-    ExchangeOp,
-    FragmentScheduler,
-    FragmentedJoinOp,
-    ParallelConfig,
-    make_scheduler,
-)
 from repro.engine.planner import (
     execute,
     extract_equi_conjuncts,
@@ -57,11 +50,6 @@ __all__ = [
     "ProfileReport",
     "collect",
     "PhysicalOp",
-    "ParallelConfig",
-    "FragmentScheduler",
-    "ExchangeOp",
-    "FragmentedJoinOp",
-    "make_scheduler",
     "extract_equi_conjuncts",
     "StatisticsCatalog",
     "TableStats",

@@ -124,12 +124,11 @@ def _plan_join(
     right: AlgebraExpr,
     condition: ScalarExpr,
     schema: RelationSchema,
-    parallel: Optional[Any] = None,
 ) -> PhysicalOp:
     combined = left.schema.concat(right.schema)
     pairs, residual = extract_equi_conjuncts(condition, combined, left.schema.degree)
-    left_plan = plan(left, parallel)
-    right_plan = plan(right, parallel)
+    left_plan = plan(left)
+    right_plan = plan(right)
     if pairs:
         left_key = _key_extractor([pair[0] for pair in pairs], left.schema)
         right_key = _key_extractor([pair[1] for pair in pairs], right.schema)
@@ -143,66 +142,53 @@ def _plan_join(
     return NestedLoopJoinOp(left_plan, right_plan, predicate, schema)
 
 
-def plan(expr: AlgebraExpr, parallel: Optional[Any] = None) -> PhysicalOp:
-    """Translate a logical expression into a physical plan.
-
-    With ``parallel`` (a :class:`repro.engine.parallel.FragmentScheduler`),
-    eligible subtrees — σ/π/π̂ pipelines, δ, Γ on grouping attributes,
-    equi-joins — are rewritten into fragment-parallel exchange operators;
-    everything else plans exactly as before.  Without it (the default)
-    this is the unchanged single-threaded path.
-    """
-    if parallel is not None:
-        from repro.engine.parallel import try_parallel_plan
-
-        parallelised = try_parallel_plan(expr, parallel)
-        if parallelised is not None:
-            return parallelised
+def plan(expr: AlgebraExpr) -> PhysicalOp:
+    """Translate a logical expression into a physical plan."""
     if isinstance(expr, RelationRef):
         return ScanOp(expr.name, expr.schema)
     if isinstance(expr, LiteralRelation):
         return LiteralOp(expr.relation)
     if isinstance(expr, Union):
-        return UnionOp(plan(expr.left, parallel), plan(expr.right, parallel))
+        return UnionOp(plan(expr.left), plan(expr.right))
     if isinstance(expr, Difference):
-        return DifferenceOp(plan(expr.left, parallel), plan(expr.right, parallel))
+        return DifferenceOp(plan(expr.left), plan(expr.right))
     if isinstance(expr, Intersect):
-        return IntersectOp(plan(expr.left, parallel), plan(expr.right, parallel))
+        return IntersectOp(plan(expr.left), plan(expr.right))
     if isinstance(expr, Join):
         return _plan_join(
-            expr.left, expr.right, expr.condition, expr.schema, parallel
+            expr.left, expr.right, expr.condition, expr.schema
         )
     if isinstance(expr, Select):
         # Fuse sigma-over-product into a join (Theorem 3.1, physically).
         if isinstance(expr.operand, Product):
             product = expr.operand
             return _plan_join(
-                product.left, product.right, expr.condition, expr.schema, parallel
+                product.left, product.right, expr.condition, expr.schema
             )
-        child = plan(expr.operand, parallel)
+        child = plan(expr.operand)
         predicate = expr.condition.bind(expr.operand.schema)
         return FilterOp(predicate, child, describe=repr(expr.condition))
     if isinstance(expr, Product):
         return ProductOp(
-            plan(expr.left, parallel), plan(expr.right, parallel), expr.schema
+            plan(expr.left), plan(expr.right), expr.schema
         )
     if isinstance(expr, Project):
-        return ProjectOp(expr.positions, expr.schema, plan(expr.operand, parallel))
+        return ProjectOp(expr.positions, expr.schema, plan(expr.operand))
     if isinstance(expr, ExtendedProject):
         operand_schema = expr.operand.schema
         functions = [
             expression.bind(operand_schema) for expression in expr.expressions
         ]
-        return MapOp(functions, expr.schema, plan(expr.operand, parallel))
+        return MapOp(functions, expr.schema, plan(expr.operand))
     if isinstance(expr, Unique):
-        return DistinctOp(plan(expr.operand, parallel))
+        return DistinctOp(plan(expr.operand))
     if isinstance(expr, GroupBy):
         return GroupByOp(
             expr.positions,
             expr.aggregate,
             expr.param_position,
             expr.schema,
-            plan(expr.operand, parallel),
+            plan(expr.operand),
         )
     if hasattr(expr, "reference_evaluate"):
         return _ExtensionOp(expr)
@@ -235,23 +221,32 @@ class _ExtensionOp(PhysicalOp):
 
 def plan_physical(
     expr: AlgebraExpr,
-    parallel: Optional[Any] = None,
+    _reserved: None = None,
     engine: str = "pairs",
 ) -> PhysicalOp:
     """Plan ``expr`` for the selected physical engine.
 
     ``engine`` is ``"pairs"`` (the pair-stream operators) or
     ``"vector"`` (the columnar batch operators of
-    :mod:`repro.engine.vector`); both honour the ``parallel``
-    fragment-scheduler rewrite.
+    :mod:`repro.engine.vector`).
+
+    ``_reserved`` accepts only ``None``.  It keeps the positional call
+    ``plan_physical(expr, None, "vector")`` in ``benchmarks/e2e/layers.py``
+    working, and goes the next time ``benchmarks/e2e/`` is edited (see
+    ROADMAP.md, "Finish the instrument").
     """
+    if _reserved is not None:
+        raise TypeError(
+            f"plan_physical takes no planner option, got {_reserved!r}; "
+            "pass the engine by keyword"
+        )
     if engine == "vector":
         from repro.engine.vector import plan_vector
 
-        return plan_vector(expr, parallel)
+        return plan_vector(expr)
     if engine != "pairs":
         raise EvaluationError(f"unknown physical engine {engine!r}")
-    return plan(expr, parallel)
+    return plan(expr)
 
 
 def _collect_result(physical: PhysicalOp, env: dict[str, Relation]) -> Relation:
@@ -267,17 +262,13 @@ def _collect_result(physical: PhysicalOp, env: dict[str, Relation]) -> Relation:
 def execute(
     expr: AlgebraExpr,
     env: dict[str, Relation],
-    parallel: Optional[Any] = None,
     physical: Optional[PhysicalOp] = None,
     engine: str = "pairs",
 ) -> Relation:
     """Plan and run ``expr`` on the physical engine.
 
-    ``parallel`` optionally carries a
-    :class:`repro.engine.parallel.FragmentScheduler`; the plan is then
-    rewritten into fragment-parallel form (see :func:`plan`).
     ``physical`` optionally supplies a previously planned operator tree
-    for exactly this expression/scheduler/engine triple — the plan cache
+    for exactly this expression/engine pair — the plan cache
     (:mod:`repro.cache`) uses it to skip re-planning on repeated
     queries; the planning stage is then a no-op.
     ``engine`` selects the operator family: ``"pairs"`` streams
@@ -293,19 +284,17 @@ def execute(
     """
     if not obs.enabled():
         if physical is None:
-            physical = plan_physical(expr, parallel, engine)
+            physical = plan_physical(expr, engine=engine)
         return _collect_result(physical, env)
 
     from repro.engine.profiler import ProfileReport, profile_plan
 
     with obs.span("plan") as plan_span:
         if physical is None:
-            physical = plan_physical(expr, parallel, engine)
+            physical = plan_physical(expr, engine=engine)
         else:
             plan_span.set(cached=True)
         plan_span.set(shape=physical.explain())
-        if parallel is not None:
-            plan_span.set(parallel_workers=parallel.workers)
     with obs.span("execute") as execute_span:
         instrumented, profiles = profile_plan(physical)
         result = _collect_result(instrumented, env)

@@ -13,9 +13,9 @@ Interoperability: every :class:`VectorOp` still implements
 ``execute(env)`` returning a pair stream, and accepts *any*
 :class:`~repro.engine.iterators.PhysicalOp` as a child (non-vector
 children are adapted through :func:`~repro.engine.vector.batch.batches_from_pairs`).
-That keeps the operator profiler, ``explain_analyze``, the parallel
-exchange operators, and extension nodes working unchanged — a profiled
-vector plan simply degrades to pair-stream pulls between operators.
+That keeps the operator profiler, ``explain_analyze`` and extension
+nodes working unchanged — a profiled vector plan simply degrades to
+pair-stream pulls between operators.
 """
 
 from __future__ import annotations

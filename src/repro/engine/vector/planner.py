@@ -1,23 +1,23 @@
 """Translation of logical algebra expressions into vectorized plans.
 
 Mirrors :mod:`repro.engine.planner` rule for rule — equi-join detection
-(with residual conjuncts), the Theorem 3.1 fusion of a selection over a
-product into a join, and the fragment-parallel rewrite hook — but emits
-the batch operators of :mod:`repro.engine.vector.operators`.  Two extra
-vector-specific rewrites:
+(with residual conjuncts) and the Theorem 3.1 fusion of a selection over
+a product into a join — but emits the batch operators of
+:mod:`repro.engine.vector.operators`.  Two extra vector-specific
+rewrites:
 
 * **Selection fusion**: a stack of selections ``σ_a(σ_b(E))`` plans as
   one :class:`~repro.engine.vector.operators.VFilterOp` whose compiled
   kernel evaluates the fused conjunction ``a and b`` in a single pass.
 * **Pair-stream fallbacks**: operators with no batch formulation
-  (cartesian product, theta joins, extension nodes, parallel exchange
-  subtrees) reuse the pair-stream operators over vector children — the
-  two engines interoperate freely inside one plan.
+  (cartesian product, theta joins, extension nodes) reuse the
+  pair-stream operators over vector children — the two engines
+  interoperate freely inside one plan.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import List
 
 from repro.algebra import (
     AlgebraExpr,
@@ -63,13 +63,12 @@ def _plan_join(
     right: AlgebraExpr,
     condition: ScalarExpr,
     schema: RelationSchema,
-    parallel: Optional[Any],
     batch_size: int,
 ) -> PhysicalOp:
     combined = left.schema.concat(right.schema)
     pairs, residual = extract_equi_conjuncts(condition, combined, left.schema.degree)
-    left_plan = plan_vector(left, parallel, batch_size)
-    right_plan = plan_vector(right, parallel, batch_size)
+    left_plan = plan_vector(left, batch_size)
+    right_plan = plan_vector(right, batch_size)
     if pairs:
         return VHashJoinOp(
             left_plan,
@@ -89,48 +88,34 @@ def _plan_join(
 
 
 def plan_vector(
-    expr: AlgebraExpr,
-    parallel: Optional[Any] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    expr: AlgebraExpr, batch_size: int = DEFAULT_BATCH_SIZE
 ) -> PhysicalOp:
-    """Translate a logical expression into a vectorized physical plan.
-
-    ``parallel`` (a :class:`repro.engine.parallel.FragmentScheduler`)
-    rewrites eligible subtrees into fragment-parallel exchange operators
-    exactly as the pairs planner does; those subtrees run as pair
-    streams and re-enter the vector plan through the batch adapter.
-    """
-    if parallel is not None:
-        from repro.engine.parallel import try_parallel_plan
-
-        parallelised = try_parallel_plan(expr, parallel)
-        if parallelised is not None:
-            return parallelised
+    """Translate a logical expression into a vectorized physical plan."""
     if isinstance(expr, RelationRef):
         return VScanOp(expr.name, expr.schema, batch_size)
     if isinstance(expr, LiteralRelation):
         return VLiteralOp(expr.relation, batch_size)
     if isinstance(expr, Union):
         return VUnionOp(
-            plan_vector(expr.left, parallel, batch_size),
-            plan_vector(expr.right, parallel, batch_size),
+            plan_vector(expr.left, batch_size),
+            plan_vector(expr.right, batch_size),
             batch_size,
         )
     if isinstance(expr, Difference):
         return VDifferenceOp(
-            plan_vector(expr.left, parallel, batch_size),
-            plan_vector(expr.right, parallel, batch_size),
+            plan_vector(expr.left, batch_size),
+            plan_vector(expr.right, batch_size),
             batch_size,
         )
     if isinstance(expr, Intersect):
         return VIntersectOp(
-            plan_vector(expr.left, parallel, batch_size),
-            plan_vector(expr.right, parallel, batch_size),
+            plan_vector(expr.left, batch_size),
+            plan_vector(expr.right, batch_size),
             batch_size,
         )
     if isinstance(expr, Join):
         return _plan_join(
-            expr.left, expr.right, expr.condition, expr.schema, parallel, batch_size
+            expr.left, expr.right, expr.condition, expr.schema, batch_size
         )
     if isinstance(expr, Select):
         # Fuse stacked selections into one kernel: σ_a(σ_b(E)) runs a
@@ -152,17 +137,16 @@ def plan_vector(
                 operand.right,
                 condition,
                 expr.schema,
-                parallel,
                 batch_size,
             )
-        child = plan_vector(operand, parallel, batch_size)
+        child = plan_vector(operand, batch_size)
         return VFilterOp(condition, child, repr(condition), batch_size)
     if isinstance(expr, Product):
         # No batch formulation — the pairs product streams over the
         # vector children through the adapter.
         return ProductOp(
-            plan_vector(expr.left, parallel, batch_size),
-            plan_vector(expr.right, parallel, batch_size),
+            plan_vector(expr.left, batch_size),
+            plan_vector(expr.right, batch_size),
             expr.schema,
         )
     if isinstance(expr, Project):
@@ -177,8 +161,8 @@ def plan_vector(
             )
             if pairs:
                 return VHashJoinOp(
-                    plan_vector(operand.left, parallel, batch_size),
-                    plan_vector(operand.right, parallel, batch_size),
+                    plan_vector(operand.left, batch_size),
+                    plan_vector(operand.right, batch_size),
                     [pair[0] for pair in pairs],
                     [pair[1] for pair in pairs],
                     expr.schema,
@@ -192,19 +176,19 @@ def plan_vector(
         return VProjectOp(
             expr.positions,
             expr.schema,
-            plan_vector(operand, parallel, batch_size),
+            plan_vector(operand, batch_size),
             batch_size,
         )
     if isinstance(expr, ExtendedProject):
         return VMapOp(
             expr.expressions,
             expr.schema,
-            plan_vector(expr.operand, parallel, batch_size),
+            plan_vector(expr.operand, batch_size),
             batch_size,
         )
     if isinstance(expr, Unique):
         return VDistinctOp(
-            plan_vector(expr.operand, parallel, batch_size), batch_size
+            plan_vector(expr.operand, batch_size), batch_size
         )
     if isinstance(expr, GroupBy):
         return VGroupByOp(
@@ -212,7 +196,7 @@ def plan_vector(
             expr.aggregate,
             expr.param_position,
             expr.schema,
-            plan_vector(expr.operand, parallel, batch_size),
+            plan_vector(expr.operand, batch_size),
             batch_size,
         )
     if hasattr(expr, "reference_evaluate"):

@@ -263,8 +263,8 @@ class TransactionError(LanguageError):
 class TransactionAbort(LanguageError):
     """Signals that the enclosing transaction must abort.
 
-    Raising this (or any other exception) inside a transaction rolls the
-    database back to the pre-transaction state ``D^t``, per the atomicity
+    Raising this (or any other exception) inside a transaction discards
+    its working state: nothing it did is installed, per the atomicity
     property in Definition 4.3.
     """
 

@@ -3,10 +3,7 @@
 * :mod:`~repro.extensions.closure` — a transitive-closure operator
   (recursion), per the reference to integrity-control thesis work [11];
 * :mod:`~repro.extensions.constraints` — integrity constraints checked
-  at the transaction commit bracket;
-* :mod:`~repro.extensions.parallel` — PRISMA-style hash-fragmented
-  parallel operators, whose correctness rests on the paper's own
-  equivalence theorems.
+  at the transaction commit bracket.
 """
 
 from repro.extensions.closure import (
@@ -20,15 +17,6 @@ from repro.extensions.constraints import (
     KeyConstraint,
     ReferentialConstraint,
 )
-from repro.extensions.parallel import (
-    FragmentReport,
-    hash_partition,
-    parallel_distinct,
-    parallel_equijoin,
-    parallel_group_by,
-    parallel_project,
-    parallel_select,
-)
 
 __all__ = [
     "TransitiveClosure",
@@ -38,11 +26,4 @@ __all__ = [
     "KeyConstraint",
     "ReferentialConstraint",
     "DomainConstraint",
-    "hash_partition",
-    "FragmentReport",
-    "parallel_select",
-    "parallel_project",
-    "parallel_equijoin",
-    "parallel_group_by",
-    "parallel_distinct",
 ]

@@ -35,7 +35,6 @@ class ExecutionContext:
         relations: Mapping[str, Relation],
         use_physical_engine: bool = False,
         optimizer: Optional[Callable[[AlgebraExpr], AlgebraExpr]] = None,
-        parallel: Optional[object] = None,
         cache: Optional[object] = None,
         database: Optional[object] = None,
         engine: str = "pairs",
@@ -49,8 +48,6 @@ class ExecutionContext:
         self.outputs: List[Relation] = []
         self._use_physical_engine = use_physical_engine
         self._optimizer = optimizer
-        #: Fragment scheduler for parallel plans (physical engine only).
-        self._parallel = parallel
         #: Optional :class:`~repro.cache.QueryCache` consulted by
         #: :meth:`evaluate`; None evaluates directly.
         self.cache = cache
@@ -112,10 +109,6 @@ class ExecutionContext:
         return self._optimizer
 
     @property
-    def parallel(self) -> Optional[object]:
-        return self._parallel
-
-    @property
     def engine(self) -> str:
         """The physical operator family (``"pairs"`` or ``"vector"``)."""
         return self._engine
@@ -148,9 +141,7 @@ class ExecutionContext:
             expr = self._optimizer(expr)
         env = self.environment()
         if self._use_physical_engine:
-            return execute(
-                expr, env, parallel=self._parallel, engine=self._engine
-            )
+            return execute(expr, env, engine=self._engine)
         return evaluate(expr, env)
 
     def statistics(self) -> StatisticsCatalog:

@@ -47,7 +47,6 @@ from repro.cache import QueryCache
 from repro.cache.fingerprint import fingerprint as expr_fingerprint
 from repro.database import Database
 from repro.engine.statistics import StatisticsCatalog
-from repro.engine.parallel import FragmentScheduler, make_scheduler
 from repro.errors import TransactionAbort, TransactionError
 from repro.language.context import ExecutionContext
 from repro.language.statements import Assign, Delete, Insert, Query, Statement, Update
@@ -71,7 +70,6 @@ class Session:
         constraints: Sequence[object] = (),
         query_log: Optional[QueryLog] = None,
         slow_query_threshold: Optional[float] = None,
-        parallel: Optional[object] = None,
         cache: Optional[object] = None,
         analyze: bool = False,
         lint: Optional[object] = None,
@@ -88,12 +86,6 @@ class Session:
         self._optimizer: Optional[Callable[[AlgebraExpr], AlgebraExpr]] = (
             optimize if use_optimizer else None
         )
-        #: Fragment scheduler for parallel plans (physical engine only).
-        #: ``parallel`` may be a worker count, a ParallelConfig, or a
-        #: FragmentScheduler; see :meth:`set_parallel`.
-        self._parallel: Optional[FragmentScheduler] = None
-        if parallel is not None:
-            self.set_parallel(parallel)
         #: Query/plan cache; None disables caching.  ``cache=True``
         #: creates a private :class:`~repro.cache.QueryCache`.
         self._cache: Optional[QueryCache] = None
@@ -324,7 +316,6 @@ class Session:
             self.database.snapshot(),
             catalog=self.analyze_catalog(),
             use_optimizer=self._optimizer is not None,
-            parallel=self._parallel,
             record=record,
             cache=self._cache,
             engine=self._engine,
@@ -346,45 +337,6 @@ class Session:
             if cached is not None:
                 return cached
         return expr_fingerprint(expr)
-
-    # -- parallel execution -------------------------------------------------
-
-    @property
-    def parallel(self) -> Optional[FragmentScheduler]:
-        """The session's fragment scheduler, or None when serial."""
-        return self._parallel
-
-    def set_parallel(
-        self, workers: Optional[object], backend: Optional[str] = None
-    ) -> Optional[FragmentScheduler]:
-        """Enable or disable fragment-parallel query execution.
-
-        ``workers`` may be a positive worker count (optionally with a
-        ``backend`` of ``process``/``thread``/``serial``), a
-        :class:`~repro.engine.ParallelConfig`, a
-        :class:`~repro.engine.FragmentScheduler`, or ``None``/``0`` to
-        switch back to serial execution.  Any previously owned scheduler
-        is shut down.  Parallel plans are a physical-engine rewrite, so
-        a reference-evaluator session cannot enable them.
-        """
-        scheduler = make_scheduler(workers, backend)
-        if scheduler is not None and not self.use_physical_engine:
-            scheduler.close()
-            raise ValueError(
-                "parallel execution requires the physical engine "
-                "(use_physical_engine=True)"
-            )
-        previous = self._parallel
-        self._parallel = scheduler
-        if previous is not None and previous is not scheduler:
-            previous.close()
-        return scheduler
-
-    def close(self) -> None:
-        """Release session resources (the worker pool, if any)."""
-        if self._parallel is not None:
-            self._parallel.close()
-            self._parallel = None
 
     # -- expression building ----------------------------------------------
 
@@ -419,7 +371,6 @@ class Session:
                 self.database.snapshot(),
                 use_physical_engine=self.use_physical_engine,
                 optimizer=self._exec_optimizer(),
-                parallel=self._parallel,
                 cache=self._cache,
                 database=self.database,
                 engine=self._engine,
@@ -436,7 +387,6 @@ class Session:
                 self.database.snapshot(),
                 use_physical_engine=self.use_physical_engine,
                 optimizer=self._exec_optimizer(),
-                parallel=self._parallel,
                 cache=self._cache,
                 database=self.database,
                 engine=self._engine,
@@ -489,7 +439,6 @@ class Session:
             use_physical_engine=self.use_physical_engine,
             optimizer=self._exec_optimizer(),
             constraints=self.constraints,
-            parallel=self._parallel,
             cache=self._cache,
             engine=self._engine,
         )
@@ -535,12 +484,10 @@ class ActiveTransaction:
 
     def __init__(self, session: Session) -> None:
         self._session = session
-        self._pre_state = session.database.snapshot()
         self._context = ExecutionContext(
-            self._pre_state,
+            session.database.snapshot(),
             use_physical_engine=session.use_physical_engine,
             optimizer=session._exec_optimizer(),
-            parallel=session._parallel,
             cache=session._cache,
             database=session.database,
             engine=session._engine,
@@ -600,7 +547,6 @@ class ActiveTransaction:
                 self._session.constraints, self._context
             )
         except TransactionAbort as abort:
-            self._session.database.restore(self._pre_state)
             obs.add("transactions.aborted")
             return TransactionResult(
                 False, self._context.outputs, abort, None, []
@@ -635,6 +581,5 @@ class ActiveTransaction:
             return False
         # Any exception aborts; the database was never touched.
         self._finished = True
-        self._session.database.restore(self._pre_state)
         obs.add("transactions.aborted")
         return isinstance(exc_value, TransactionAbort)

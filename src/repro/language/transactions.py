@@ -8,7 +8,8 @@ of T".  The end bracket either
 
 * **commits**: temporary relations are removed from ``D^{t.n}`` and the
   result is installed as ``D^{t+1}`` (one single-step transition); or
-* **aborts**: ``D^t`` is reinstalled — the database is unchanged.
+* **aborts**: the working state is discarded — the database is unchanged
+  (it was never written before commit, so there is nothing to undo).
 
 Atomicity is the property this module enforces:
 ``T(D) = D^{t.n}|_base`` or ``T(D) = D`` — nothing in between is ever
@@ -79,7 +80,6 @@ class Transaction:
         optimizer: Optional[Callable[[AlgebraExpr], AlgebraExpr]] = None,
         constraints: Sequence["object"] = (),
         record_intermediate_states: bool = False,
-        parallel: Optional[object] = None,
         cache: Optional[object] = None,
         engine: str = "pairs",
     ) -> TransactionResult:
@@ -87,26 +87,26 @@ class Transaction:
 
         Any exception raised by a statement — including an explicit
         :class:`~repro.errors.TransactionAbort` and constraint
-        violations — aborts the transaction: the pre-state ``D^t``
-        remains installed, logical time does not advance, and the
-        exception is reported in the result (never re-raised for
-        :class:`TransactionAbort`; other exceptions propagate after the
-        rollback, since they are bugs rather than semantics).
+        violations — aborts the transaction: its working state is
+        discarded, nothing is installed, and the exception is reported
+        in the result (never re-raised for :class:`TransactionAbort`;
+        other exceptions propagate, since they are bugs rather than
+        semantics).  The database itself is never written before
+        :meth:`~repro.database.Database.install`, so an abort cannot
+        disturb commits made by other sessions in the meantime.
 
         ``cache`` optionally carries a :class:`~repro.cache.QueryCache`
         for the reads this transaction performs.  Because relation
         epochs advance only at :meth:`~repro.database.Database.install`,
-        an abort restores the pre-transition epoch picture untouched —
-        cache entries valid before the transaction stay valid after the
-        rollback, and nothing computed from the discarded working state
+        an abort leaves the epoch picture untouched — cache entries
+        valid before the transaction stay valid after the rollback, and
+        nothing computed from the discarded working state
         can have been cached (the cache bypasses modified relations).
         """
-        pre_state = database.snapshot()
         context = ExecutionContext(
-            pre_state,
+            database.snapshot(),
             use_physical_engine=use_physical_engine,
             optimizer=optimizer,
-            parallel=parallel,
             cache=cache,
             database=database,
             engine=engine,
@@ -129,15 +129,11 @@ class Transaction:
                         )
                 self._check_constraints(constraints, context)
             except TransactionAbort as abort:
-                database.restore(pre_state)
                 span.set(outcome="abort", reason=str(abort))
                 obs.add("transactions.aborted")
                 return TransactionResult(
                     False, context.outputs, abort, None, intermediate_states
                 )
-            except Exception:
-                database.restore(pre_state)
-                raise
             # Commit: the end bracket drops temporaries and installs D^{t+1}.
             with obs.span("commit"):
                 transition = database.install(context.relations)

@@ -7,7 +7,7 @@ into.  It has three layers:
   optimize, plan, execute, commit);
 * :mod:`repro.obs.metrics` — a registry of counters/gauges/histograms
   (queries run, rows/pairs per operator class, optimizer rule hits,
-  transaction commits/aborts, parallel fragment work);
+  transaction commits/aborts);
 * :mod:`repro.obs.export` — a JSON-lines event log, a Chrome/Perfetto
   trace-event exporter, and plain-text summaries; plus
   :mod:`repro.obs.querylog`, the per-statement slow query log sessions

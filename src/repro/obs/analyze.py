@@ -201,7 +201,6 @@ class AnalyzeReport:
         result_distinct: int,
         threshold: float = MISESTIMATE_THRESHOLD,
         cache: Optional[Dict[str, Any]] = None,
-        parallel: Optional[Dict[str, Any]] = None,
     ) -> None:
         #: Per-operator statistics in plan pre-order (root first).
         self.operators = operators
@@ -218,8 +217,6 @@ class AnalyzeReport:
         self.threshold = threshold
         #: Cache hit/miss provenance (None when no cache was attached).
         self.cache = cache
-        #: Parallel execution facts (workers/backend), when parallel.
-        self.parallel = parallel
         #: The materialised result relation (excluded from the JSON form).
         self.result: Optional[Any] = None
 
@@ -252,8 +249,6 @@ class AnalyzeReport:
         }
         if self.cache is not None:
             record["cache"] = dict(self.cache)
-        if self.parallel is not None:
-            record["parallel"] = dict(self.parallel)
         return record
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -274,11 +269,6 @@ class AnalyzeReport:
             state = "result cached" if served else "result not cached"
             lines.append(
                 f"cache: {state}, fingerprint {self.cache.get('fingerprint', '?')[:12]}"
-            )
-        if self.parallel is not None:
-            lines.append(
-                f"parallel: {self.parallel.get('workers')} worker(s), "
-                f"{self.parallel.get('backend')} backend"
             )
         labels = [("  " * op.depth) + op.label for op in self.operators]
         width = max((len(label) for label in labels), default=0)
@@ -330,7 +320,7 @@ def _child_pairs(expr: Any, op: Any) -> List[Any]:
     """Pair a logical node's children with a physical node's children.
 
     Mirrors the planner's translation cases (including the σ(E1 × E2)
-    join fusion and the parallel exchange rewrite).  On a structural
+    join fusion).  On a structural
     mismatch it returns no pairs — the physical subtree below simply
     goes unannotated (``est=?``) rather than guessing wrong.
     """
@@ -359,7 +349,6 @@ def _child_pairs(expr: Any, op: Any) -> List[Any]:
         ProjectOp,
         UnionOp,
     )
-    from repro.engine.parallel import ExchangeOp, FragmentedJoinOp
     from repro.engine.vector.operators import (
         VDifferenceOp,
         VDistinctOp,
@@ -379,7 +368,7 @@ def _child_pairs(expr: Any, op: Any) -> List[Any]:
             return node.operand.left, node.operand.right
         return None
 
-    if isinstance(op, (HashJoinOp, NestedLoopJoinOp, FragmentedJoinOp, VHashJoinOp)):
+    if isinstance(op, (HashJoinOp, NestedLoopJoinOp, VHashJoinOp)):
         # Project-into-join fusion: the vector planner folds π(⋈) into
         # one probe loop, so the physical join answers for the Project.
         if isinstance(op, VHashJoinOp) and isinstance(expr, Project):
@@ -397,22 +386,6 @@ def _child_pairs(expr: Any, op: Any) -> List[Any]:
         node = expr.operand
         while isinstance(node, Select):
             node = node.operand
-        return [(node, op.child)]
-    if isinstance(op, ExchangeOp):
-        # Re-peel the σ/π/π̂ pipeline the parallel planner fused into
-        # the exchange's fragment task, down to the fragmented base.
-        node = expr
-        while True:
-            if isinstance(node, Select) and not isinstance(node.operand, Product):
-                node = node.operand
-            elif isinstance(node, (Project, ExtendedProject)):
-                node = node.operand
-            else:
-                break
-        if isinstance(node, Unique) or (
-            isinstance(node, GroupBy) and node.positions
-        ):
-            return [(node.operand, op.child)]
         return [(node, op.child)]
     if isinstance(op, FilterOp) and isinstance(expr, Select):
         return [(expr.operand, op.child)]
@@ -485,7 +458,6 @@ def analyze(
     env: Dict[str, Any],
     catalog: Optional[Any] = None,
     use_optimizer: bool = True,
-    parallel: Optional[Any] = None,
     threshold: float = MISESTIMATE_THRESHOLD,
     record: bool = False,
     cache: Optional[Any] = None,
@@ -528,7 +500,7 @@ def analyze(
         optimized = (
             optimize(expr, catalog, rewrite_trace) if use_optimizer else expr
         )
-        physical = plan_physical(optimized, parallel, engine)
+        physical = plan_physical(optimized, engine=engine)
         annotations = annotate_estimates(optimized, physical, catalog)
         instrumented, profiles = profile_plan(physical)
         started = time.perf_counter()
@@ -574,12 +546,6 @@ def analyze(
             "hits": cache.stats.result_hits,
             "misses": cache.stats.result_misses,
         }
-    parallel_info: Optional[Dict[str, Any]] = None
-    if parallel is not None:
-        parallel_info = {
-            "workers": parallel.workers,
-            "backend": parallel.config.backend,
-        }
 
     report = AnalyzeReport(
         operators=operators,
@@ -591,7 +557,6 @@ def analyze(
         result_distinct=result.distinct_count,
         threshold=threshold,
         cache=cache_info,
-        parallel=parallel_info,
     )
     report.result = result
 

@@ -3,8 +3,7 @@
 The registry is the aggregate side of observability — where the tracer
 answers "what did *this* statement do", the registry accumulates totals
 across a whole session: queries run, rows and pairs emitted per operator
-class, optimizer rule firings, transaction commits/aborts, per-fragment
-parallel work.
+class, optimizer rule firings, transaction commits/aborts.
 
 Multiset semantics makes these counters unusually informative: π and ⊎
 preserve bag cardinality exactly (Theorem 3.2 territory), so the

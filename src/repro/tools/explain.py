@@ -119,7 +119,6 @@ def explain_analyze(
     env: Dict[str, Relation],
     catalog: Optional[StatisticsCatalog] = None,
     record: bool = False,
-    parallel: Optional[Any] = None,
     cache: Optional[Any] = None,
 ) -> AnalyzeReport:
     """Run ``expr`` instrumented; return the estimate-vs-actual report.
@@ -138,7 +137,6 @@ def explain_analyze(
         expr,
         env,
         catalog=catalog,
-        parallel=parallel,
         record=record,
         cache=cache,
     )

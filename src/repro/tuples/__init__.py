@@ -7,7 +7,6 @@ from repro.tuples.tuple_ops import (
     degree,
     make_row,
     project_tuple,
-    stable_hash,
     validate_tuple,
 )
 
@@ -18,6 +17,5 @@ __all__ = [
     "degree",
     "make_row",
     "project_tuple",
-    "stable_hash",
     "validate_tuple",
 ]

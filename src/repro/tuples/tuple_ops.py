@@ -19,7 +19,6 @@ canonical values — which is what makes tuple equality meaningful.
 
 from __future__ import annotations
 
-import datetime
 from typing import Any, Iterable, Sequence, Tuple
 
 from repro.errors import AttributeResolutionError, DomainValueError
@@ -33,7 +32,6 @@ __all__ = [
     "concat_tuples",
     "validate_tuple",
     "make_row",
-    "stable_hash",
 ]
 
 #: Type alias for a relation tuple.
@@ -72,61 +70,6 @@ def concat_tuples(left: Row, right: Row) -> Row:
 def make_row(values: Iterable[Any]) -> Row:
     """Coerce an iterable of values into the canonical tuple form."""
     return tuple(values)
-
-
-#: FNV-1a 64-bit parameters.
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK = 0xFFFFFFFFFFFFFFFF
-
-#: Fixed hash for None (an arbitrary odd constant, mixed like any value).
-_NONE_HASH = 0x9E3779B97F4A7C15
-
-
-def _fnv1a(data: bytes) -> int:
-    value = _FNV_OFFSET
-    for byte in data:
-        value ^= byte
-        value = (value * _FNV_PRIME) & _MASK
-    return value
-
-
-def stable_hash(value: Any) -> int:
-    """A process-stable 64-bit hash of an atomic value or tuple of them.
-
-    The builtin ``hash`` is randomized per interpreter for ``str`` /
-    ``bytes`` (PYTHONHASHSEED) and for the ``datetime`` types, so it
-    cannot be used to assign tuples to hash fragments reproducibly —
-    fragments would differ between runs and between pool worker
-    processes.  This helper is deterministic everywhere:
-
-    * strings and bytes hash through FNV-1a over their encoded form;
-    * numbers (int / bool / float / Decimal) use the builtin numeric
-      hash, which *is* stable and — critically — equal across types for
-      equal values (``hash(1) == hash(1.0) == hash(True)``), so values
-      that compare equal land in the same fragment even when two join
-      sides store them in different numeric domains;
-    * dates, times and timestamps hash their ISO text form;
-    * tuples fold their items' stable hashes.
-    """
-    if value is None:
-        return _NONE_HASH
-    if isinstance(value, str):
-        return _fnv1a(b"s" + value.encode("utf-8"))
-    if isinstance(value, bytes):
-        return _fnv1a(b"b" + value)
-    if isinstance(value, tuple):
-        folded = _FNV_OFFSET
-        for item in value:
-            folded ^= stable_hash(item)
-            folded = (folded * _FNV_PRIME) & _MASK
-        return folded
-    if isinstance(value, (datetime.date, datetime.time)):
-        # Covers date, time, and datetime (a date subclass).
-        return _fnv1a(b"t" + value.isoformat().encode("ascii"))
-    # Numbers (int, bool, float, Decimal, ...): the builtin hash is
-    # deterministic and consistent across numeric types.
-    return hash(value) & _MASK
 
 
 def validate_tuple(row: Iterable[Any], schema: RelationSchema) -> Row:

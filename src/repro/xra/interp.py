@@ -18,7 +18,6 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.algebra import AlgebraExpr
 from repro.database import Database
-from repro.engine.parallel import FragmentScheduler, make_scheduler
 from repro.errors import XRARuntimeError
 from repro.language import Transaction, TransactionResult
 from repro.language.statements import Query
@@ -78,7 +77,6 @@ class XRAInterpreter:
         use_physical_engine: bool = True,
         use_optimizer: bool = True,
         constraints: Sequence[object] = (),
-        parallel: Optional[object] = None,
         cache: Optional[object] = None,
         engine: str = "pairs",
     ) -> None:
@@ -93,10 +91,6 @@ class XRAInterpreter:
         self._optimizer: Optional[Callable[[AlgebraExpr], AlgebraExpr]] = (
             optimize if use_optimizer else None
         )
-        #: Fragment scheduler for parallel plans (physical engine only).
-        self._parallel: Optional[FragmentScheduler] = None
-        if parallel is not None:
-            self.set_parallel(parallel)
         #: Optional :class:`~repro.cache.QueryCache` for script reads —
         #: usually the same object the surrounding session uses, so
         #: XRA, SQL, and library queries share one cache.
@@ -180,28 +174,6 @@ class XRAInterpreter:
             )
         return self._analyze_catalog
 
-    def set_parallel(
-        self, workers: Optional[object], backend: Optional[str] = None
-    ) -> Optional[FragmentScheduler]:
-        """Enable or disable fragment-parallel execution for scripts.
-
-        Same contract as :meth:`repro.language.Session.set_parallel`:
-        a worker count (with optional backend), ParallelConfig,
-        FragmentScheduler, or ``None``/``0`` to go serial.
-        """
-        scheduler = make_scheduler(workers, backend)
-        if scheduler is not None and not self.use_physical_engine:
-            scheduler.close()
-            raise ValueError(
-                "parallel execution requires the physical engine "
-                "(use_physical_engine=True)"
-            )
-        previous = self._parallel
-        self._parallel = scheduler
-        if previous is not None and previous is not scheduler:
-            previous.close()
-        return scheduler
-
     def run(self, text: str) -> ScriptResult:
         """Parse and execute a whole script.
 
@@ -256,7 +228,6 @@ class XRAInterpreter:
                 self.database.snapshot(),
                 catalog=self.analyze_catalog(),
                 use_optimizer=self._optimizer is not None,
-                parallel=self._parallel,
                 record=True,
                 cache=self.cache,
                 engine=self.engine,
@@ -279,7 +250,6 @@ class XRAInterpreter:
             use_physical_engine=self.use_physical_engine,
             optimizer=self._optimizer,
             constraints=self.constraints,
-            parallel=self._parallel,
             cache=self.cache,
             engine=self.engine,
         )

@@ -267,26 +267,6 @@ class TestQueryCache:
         assert a == b
         assert cache.stats.result_hits == 1
 
-    def test_parallel_session_shares_the_cache(self, env):
-        database = make_database(env)
-        cache = QueryCache()
-        serial = Session(database, cache=cache)
-        parallel = Session(database, cache=cache)
-        parallel.set_parallel(2, "serial")
-        try:
-            expr = RelationRef("t1", env["t1"].schema).select("%1 > 1")
-            first = serial.query(expr)
-            second = parallel.query(expr)
-            assert second is first  # served from cache, no parallel run
-            assert cache.stats.result_hits == 1
-            # And the reverse direction: a parallel miss feeds a serial hit.
-            other = RelationRef("t2", env["t2"].schema).project(["%1"])
-            parallel.query(other)
-            serial.query(other)
-            assert cache.stats.result_hits == 2
-        finally:
-            parallel.close()
-
     def test_eviction_respects_the_byte_budget(self, env):
         database = make_database(env)
         cache = QueryCache(max_bytes=2000)
@@ -421,7 +401,7 @@ def clone_env(env):
 class Driver:
     """Runs one random interleaving against cached and plain twins."""
 
-    def __init__(self, env, seed: int, parallel: bool = False):
+    def __init__(self, env, seed: int):
         import random
 
         self.rng = random.Random(seed)
@@ -430,13 +410,8 @@ class Driver:
         self.plain_db = make_database(clone_env(env))
         self.cache = QueryCache()
         self.cached = Session(self.cached_db, cache=self.cache)
-        if parallel:
-            self.cached.set_parallel(2, "serial")
         self.plain = Session(self.plain_db)
         self.names = sorted(env)
-
-    def close(self):
-        self.cached.close()
 
     def check_query(self):
         expr = self.generator.expression()
@@ -501,31 +476,14 @@ class Driver:
 @pytest.mark.parametrize("seed", range(12))
 def test_differential_cached_vs_uncached(env, seed):
     driver = Driver(env, seed=seed)
-    try:
-        for step in range(14):
-            if driver.rng.random() < 0.6:
-                driver.check_query()
-            else:
-                driver.transition()
-            driver.states_agree()
-    finally:
-        driver.close()
+    for step in range(14):
+        if driver.rng.random() < 0.6:
+            driver.check_query()
+        else:
+            driver.transition()
+        driver.states_agree()
     # The workload must actually have exercised the cache.
     assert driver.cache.stats.result_misses > 0
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_differential_cached_parallel_vs_uncached_serial(env, seed):
-    driver = Driver(env, seed=seed + 100, parallel=True)
-    try:
-        for step in range(10):
-            if driver.rng.random() < 0.6:
-                driver.check_query()
-            else:
-                driver.transition()
-            driver.states_agree()
-    finally:
-        driver.close()
 
 
 def test_update_leaves_no_epochless_entries(env):

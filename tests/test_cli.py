@@ -176,53 +176,3 @@ class TestProfileCommand:
     def test_profile_parse_error(self):
         _out, err = run_shell(".profile bogus(beer)\n")
         assert "error" in err
-
-
-class TestParallelCommand:
-    def test_enable_and_status(self):
-        out, err = run_shell(
-            ".parallel 3 serial\n.parallel\n? proj[name](beer);\n"
-        )
-        assert out.count("parallel execution: 3 worker(s), serial backend") == 2
-        assert "Pils" in out
-        assert not err
-
-    def test_off_and_bare_status(self):
-        out, _err = run_shell(".parallel off\n.parallel\n")
-        assert "parallel execution off" in out
-        assert "parallel execution is off" in out
-
-    def test_bad_arguments_reported(self):
-        out, err = run_shell(".parallel lots\n.parallel 2 gpu\n")
-        assert "usage:" in err
-        assert "unknown parallel backend" in err
-        assert "worker" not in out
-
-    def test_configures_session_and_interpreter(self):
-        out, err = io.StringIO(), io.StringIO()
-        shell = Shell(tiny_beer_database(), out=out, err=err)
-        shell.handle_meta(".parallel 2 thread")
-        assert shell.session.parallel is shell.interpreter._parallel
-        assert shell.session.parallel.workers == 2
-        shell.handle_meta(".parallel off")
-        assert shell.session.parallel is None
-        assert shell.interpreter._parallel is None
-
-    def test_parallel_flag_subprocess(self):
-        completed = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "--parallel",
-                "2",
-                "--parallel-backend",
-                "thread",
-            ],
-            input=".parallel\n.quit\n",
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert completed.returncode == 0
-        assert "parallel execution: 2 worker(s), thread backend" in completed.stdout

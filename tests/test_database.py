@@ -71,13 +71,14 @@ class TestStatesAndTime:
     def test_initial_time_zero(self):
         assert Database().logical_time == 0
 
-    def test_snapshot_restore(self):
+    def test_snapshot_is_a_value(self):
         db = Database()
         db.create_relation(T, Relation(T, [(1, "a")]))
         state = db.snapshot()
         db.set("t", Relation(T, [(2, "b")]))
-        db.restore(state)
-        assert db["t"].multiplicity((1, "a")) == 1
+        assert state["t"].multiplicity((1, "a")) == 1
+        assert db["t"].multiplicity((1, "a")) == 0
+        assert not hasattr(db, "restore")
 
     def test_install_advances_time_and_records(self):
         db = Database()

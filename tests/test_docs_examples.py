@@ -67,7 +67,6 @@ def test_every_doc_page_is_scanned():
         "formal_model.md",
         "lint.md",
         "observability.md",
-        "parallel.md",
         "server.md",
         "sql_reference.md",
         "vectorized.md",

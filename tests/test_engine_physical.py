@@ -20,7 +20,7 @@ from repro.algebra import (
     Union,
     Unique,
 )
-from repro.engine import evaluate, execute, plan
+from repro.engine import collect_batches, evaluate, execute, plan, plan_physical
 from repro.engine.iterators import (
     DistinctOp,
     FilterOp,
@@ -141,6 +141,14 @@ class TestPlannerStrategyChoice:
         text = plan(expr).explain()
         assert "hash-join" in text
         assert "filter" in text
+
+    def test_plan_physical_reserved_slot_takes_only_none(self):
+        r = random_int_relation(5, name="x")
+        expr = Join(lit(r), lit(r), "%1 = %3")
+        vector = plan_physical(expr, None, "vector")
+        assert collect_batches(vector, {}) == evaluate(expr, {})
+        with pytest.raises(TypeError):
+            plan_physical(expr, 2, "vector")
 
 
 class TestStreamMechanics:

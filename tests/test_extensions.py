@@ -1,35 +1,24 @@
-"""Tests for the Section 5 extensions: closure, constraints, parallel ops."""
+"""Tests for the Section 5 extensions: closure and constraints."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.aggregates import CNT, SUM
 from repro.algebra import LiteralRelation
 from repro.database import Database
 from repro.engine import evaluate, execute
 from repro.errors import ConstraintViolationError, ExpressionTypeError
 from repro.extensions import (
     DomainConstraint,
-    FragmentReport,
     KeyConstraint,
     ReferentialConstraint,
     TransitiveClosure,
     closure_by_iteration,
-    hash_partition,
-    parallel_distinct,
-    parallel_equijoin,
-    parallel_group_by,
-    parallel_project,
-    parallel_select,
     transitive_closure_pairs,
 )
 from repro.domains import INTEGER, STRING
 from repro.language import Insert, Session, Transaction
 from repro.relation import Relation
 from repro.schema import RelationSchema
-from repro.workloads import random_int_relation, tiny_beer_database
-from tests.conftest import int_relations
+from repro.workloads import tiny_beer_database
 
 EDGE = RelationSchema.of("edge", src=STRING, dst=STRING)
 
@@ -163,115 +152,3 @@ class TestConstraints:
         )
         assert not result.committed
         assert db.logical_time == 0
-
-
-class TestHashPartition:
-    @given(int_relations, st.integers(min_value=1, max_value=5))
-    def test_fragments_reunite(self, relation, fragments):
-        parts = hash_partition(relation, None, fragments)
-        reunion = parts[0]
-        for part in parts[1:]:
-            reunion = reunion.union(part)
-        assert reunion == relation
-
-    @given(int_relations, st.integers(min_value=2, max_value=5))
-    def test_fragments_disjoint_supports(self, relation, fragments):
-        parts = hash_partition(relation, None, fragments)
-        seen = set()
-        for part in parts:
-            support = part.support()
-            assert not (seen & support)
-            seen |= support
-
-    def test_key_partitioning_coclusters(self):
-        relation = random_int_relation(200, degree=2, value_space=10, seed=3)
-        parts = hash_partition(relation, ["%1"], 4)
-        # Every distinct %1 value lives in exactly one fragment.
-        locations = {}
-        for index, part in enumerate(parts):
-            for row, _count in part.pairs():
-                assert locations.setdefault(row[0], index) == index
-
-    def test_zero_fragments_rejected(self):
-        with pytest.raises(ValueError):
-            hash_partition(random_int_relation(5), None, 0)
-
-
-class TestParallelOperators:
-    @given(int_relations, st.integers(min_value=1, max_value=4))
-    def test_parallel_select_exact(self, relation, fragments):
-        predicate = lambda row: row[0] > 2
-        assert parallel_select(relation, predicate, fragments) == relation.select(
-            predicate
-        )
-
-    @given(int_relations, st.integers(min_value=1, max_value=4))
-    def test_parallel_project_exact(self, relation, fragments):
-        assert parallel_project(relation, ["%2"], fragments) == relation.project(
-            ["%2"]
-        )
-
-    @given(int_relations, st.integers(min_value=1, max_value=4))
-    def test_parallel_distinct_exact(self, relation, fragments):
-        """Valid despite δ/⊎ non-distribution — fragments are disjoint."""
-        assert parallel_distinct(relation, fragments) == relation.distinct()
-
-    @given(int_relations, int_relations, st.integers(min_value=1, max_value=4))
-    def test_parallel_equijoin_exact(self, left, right, fragments):
-        result = parallel_equijoin(left, right, ["%1"], ["%1"], fragments)
-        serial = left.join(right, lambda row: row[0] == row[2])
-        assert result == serial
-
-    @given(int_relations, st.integers(min_value=1, max_value=4))
-    def test_parallel_group_by_exact(self, relation, fragments):
-        result = parallel_group_by(relation, ["%1"], SUM, "%2", fragments)
-        serial = relation.group_by(["%1"], SUM, "%2")
-        assert result == serial
-
-    def test_parallel_group_by_needs_attrs(self):
-        with pytest.raises(ValueError):
-            parallel_group_by(random_int_relation(5), [], CNT, None, 2)
-
-    def test_fragment_report_accounting(self):
-        relation = random_int_relation(1000, value_space=30, seed=9)
-        report = FragmentReport()
-        parallel_select(relation, lambda row: True, 4, report)
-        assert report.total_work == 1000
-        assert report.critical_path >= 250
-        assert 1.0 <= report.ideal_speedup <= 4.0
-
-    def test_empty_report(self):
-        report = FragmentReport()
-        assert report.critical_path == 0
-        assert report.ideal_speedup == 1.0
-
-    def test_report_measures_wall_clock(self):
-        relation = random_int_relation(600, value_space=20, seed=3)
-        report = FragmentReport()
-        parallel_distinct(relation, 4, report)
-        assert report.parallel_seconds is not None
-        assert report.parallel_seconds > 0
-        assert report.workers == 1
-        assert report.backend == "serial"
-        # No serial baseline recorded -> no measured figure.
-        assert report.measured_speedup is None
-        report.serial_seconds = report.parallel_seconds * 2
-        assert report.measured_speedup == pytest.approx(2.0)
-
-    def test_wrappers_accept_real_scheduler(self):
-        from repro.engine import FragmentScheduler, ParallelConfig
-
-        relation = random_int_relation(500, value_space=12, seed=21)
-        with FragmentScheduler(
-            ParallelConfig(workers=2, backend="thread", min_rows=0)
-        ) as scheduler:
-            report = FragmentReport()
-            result = parallel_group_by(
-                relation, ["%1"], SUM, "%2", 4, report, scheduler=scheduler
-            )
-            assert result == relation.group_by(["%1"], SUM, "%2")
-            assert report.workers == 2
-            assert report.backend == "thread"
-            assert parallel_select(
-                relation, lambda row: row[0] > 2, 4, scheduler=scheduler
-            ) == relation.select(lambda row: row[0] > 2)

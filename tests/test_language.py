@@ -324,3 +324,64 @@ class TestSession:
         query_reference = Session(db_reference, use_physical_engine=False)
         expr = Select("k = 1", t_ref()).project(["v"])
         assert query_physical.query(expr) == query_reference.query(expr)
+
+
+class TestAbortKeepsOtherCommits:
+    """An abort discards its own working state and nothing else.
+
+    Session A opens a transaction, session B commits a delete of every
+    row over the same database, then A aborts.  B's commit must survive,
+    and the installed state must be exactly what replaying the recorded
+    transitions over the initial state gives.
+    """
+
+    def setup_method(self):
+        self.db = make_db(*[(k, "x") for k in range(50)])
+        self.initial = self.db.snapshot()
+        self.initial_epoch = self.db.epoch("t")
+        self.b = Session(self.db)
+
+    def commit_b(self):
+        assert self.b.delete("t", self.b.relation("t")).committed
+
+    def assert_b_survived(self):
+        assert self.db.logical_time == 1
+        assert len(self.db["t"]) == 0
+        assert self.db.epoch("t") > self.initial_epoch
+        [transition] = self.db.transitions
+        assert self.db.snapshot() == transition.apply(self.initial)
+
+    def test_exception_in_the_block(self):
+        a = Session(self.db)
+        with a.transaction() as txn:
+            txn.insert("t", lit((99, "a")))
+            self.commit_b()
+            raise TransactionAbort("A gives up")
+        self.assert_b_survived()
+
+    def test_constraint_failure_at_commit(self):
+        from repro.extensions import DomainConstraint
+
+        a = Session(self.db, constraints=[DomainConstraint("small", "t", "k < 99")])
+        with pytest.raises(TransactionAbort):
+            with a.transaction() as txn:
+                txn.insert("t", lit((99, "a")))
+                self.commit_b()
+        self.assert_b_survived()
+
+    @pytest.mark.parametrize("error", [TransactionAbort, RuntimeError])
+    def test_one_shot_transaction(self, error):
+        test = self
+
+        class CommitElsewhereThenFail:
+            def execute(self, _ctx):
+                test.commit_b()
+                raise error("fail after B committed")
+
+        transaction = Transaction([Insert("t", lit((99, "a"))), CommitElsewhereThenFail()])
+        if error is TransactionAbort:
+            assert not transaction.run(self.db).committed
+        else:
+            with pytest.raises(error):
+                transaction.run(self.db)
+        self.assert_b_survived()

@@ -14,7 +14,6 @@ import pytest
 from repro import obs
 from repro.algebra import LiteralRelation
 from repro.cli import Shell
-from repro.domains import INTEGER
 from repro.language import Insert, Session
 from repro.obs import (
     NULL_SPAN,
@@ -26,7 +25,6 @@ from repro.obs import (
     render_summary,
 )
 from repro.relation import Relation
-from repro.schema import RelationSchema
 from repro.sql import sql_to_algebra
 from repro.workloads import tiny_beer_database
 
@@ -290,19 +288,6 @@ class TestPipelineTracing:
         names = [s.name for s in obs.tracer().ordered()]
         assert "xra.parse" in names
         assert "xra.lex" in names
-
-    def test_parallel_extension_metrics(self):
-        obs.enable()
-        from repro.extensions.parallel import parallel_select
-
-        schema = RelationSchema.of("r", a=INTEGER)
-        relation = Relation(schema, [(i,) for i in range(100)])
-        parallel_select(relation, lambda t: t[0] % 2 == 0, fragments=4)
-        registry = obs.metrics()
-        assert registry.value("parallel.ops", op="select") == 1
-        assert registry.value("parallel.fragments", op="select") == 4
-        [span] = obs.tracer().find("parallel.select")
-        assert span.attrs["ideal_speedup"] >= 1.0
 
     def test_disabled_pipeline_records_nothing(self, beer_session):
         session, _db = beer_session

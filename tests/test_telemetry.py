@@ -209,10 +209,10 @@ def test_label_values_are_escaped() -> None:
 
 def test_non_numeric_gauges_are_skipped() -> None:
     registry = MetricsRegistry()
-    registry.gauge("parallel.backend").set("process")
+    registry.gauge("session.engine").set("vector")
     registry.gauge("cache.bytes").set(1024)
     text = render_prometheus(registry.snapshot())
-    assert "process" not in text
+    assert "vector" not in text
     assert "repro_cache_bytes 1024" in text
 
 

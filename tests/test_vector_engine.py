@@ -19,8 +19,8 @@ observable through results.  Three layers of evidence:
   interpreter without changing results.
 
 Plus wiring smoke: engine selection on sessions/transactions, the
-query cache, EXPLAIN ANALYZE labels, the parallel scheduler, and the
-CLI ``.engine`` meta-command.
+query cache, EXPLAIN ANALYZE labels, and the CLI ``.engine``
+meta-command.
 """
 
 import io
@@ -45,7 +45,7 @@ from repro.algebra import (
 from repro.algebra.base import as_attr_list
 from repro.database import Database
 from repro.domains import INTEGER, MONEY, REAL, STRING
-from repro.engine import evaluate, execute, make_scheduler
+from repro.engine import evaluate, execute
 from repro.engine.vector import (
     VFilterOp,
     VGroupByOp,
@@ -123,7 +123,7 @@ def test_operator_agrees_with_both_engines(env, name):
     assert execute(expr, env, engine="vector") == reference, (
         f"vector != reference for {name}"
     )
-    chunked = collect_batches(plan_vector(expr, None, TINY_BATCH), env)
+    chunked = collect_batches(plan_vector(expr, batch_size=TINY_BATCH), env)
     assert chunked == reference, f"tiny batches diverge for {name}"
 
 
@@ -259,7 +259,7 @@ class TestPlanShapes:
 
 
 class TestEngineWiring:
-    """Session/cache/analyze/parallel/CLI smoke on the vector engine."""
+    """Session/cache/analyze/CLI smoke on the vector engine."""
 
     @pytest.fixture()
     def database(self, env):
@@ -305,15 +305,6 @@ class TestEngineWiring:
         assert report.find("v-hash-join")
         assert report.find("v-scan")
         assert report.result == evaluate(expr, database.snapshot())
-
-    def test_parallel_scheduler_interop(self, env):
-        expr = self._query(env)
-        scheduler = make_scheduler(2, "serial")
-        try:
-            result = execute(expr, env, parallel=scheduler, engine="vector")
-        finally:
-            scheduler.close()
-        assert result == evaluate(expr, env)
 
     def test_cli_engine_meta_command(self, database):
         from repro.cli import Shell
