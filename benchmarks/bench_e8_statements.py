@@ -6,11 +6,14 @@ commit/abort, and Example 4.1.
 
 The bench measures the building blocks a Section-4 implementation lives
 on: the update statement (whose cost is the three-operator algebra
-expression it is defined as), commit (snapshot + install) and abort
-(restore) overhead, and a multi-statement transaction with temporaries.
-Expected shape: update cost is linear in |R|; abort is no more expensive
-than commit (both are O(relations) dictionary operations, independent of
-how much the transaction wrote).
+expression it is defined as), the commit path (snapshot, statements,
+then ``Database.commit`` validating the read set and applying the net
+delta to the head relation), the abort path (snapshot and statements,
+then the working state is dropped — the database is never written), and
+a multi-statement transaction with temporaries.  Expected shape: update
+cost is linear in |R|; abort is cheaper than commit, which applies its
+delta once more at the head (a dictionary copy of the written relation
+plus O(|Δ|) work).
 """
 
 import pytest

@@ -7,27 +7,34 @@ database records these transitions so tests and examples can inspect the
 exact state sequence the paper's transaction semantics prescribes.
 
 Relations are immutable values, so a snapshot is cheap: a state is
-just a name->relation dict copy.  Nothing but :meth:`install` (and the
+just a name->relation dict copy.  Nothing but :meth:`commit` (and the
 direct DDL-style setters) changes the installed state, so rolling a
 transaction back means discarding its working state — never writing an
-old state over newer commits.
+old state over newer commits.  Because :meth:`commit` checks that
+nothing a transaction read has changed since its snapshot, committed
+transactions are serializable in logical-time order.
 
 Besides the global logical time, the database keeps one *epoch* per
 relation name: a counter bumped exactly when a committed transition (or
 a direct ``set``/``create_relation``/``drop_relation``) changes that
-relation's contents.  Epochs are the invalidation clock of
-:mod:`repro.cache` — a cached result is valid while the epochs of the
-relations it read are unchanged.  An aborted transaction never reaches
-:meth:`install`, so it leaves every epoch untouched by construction.
+relation's contents.  Epochs are both the commit-time validation clock
+and the invalidation clock of :mod:`repro.cache` — a cached result is
+valid while the epochs of the relations it read are unchanged.  An
+aborted transaction never reaches :meth:`commit`, so it leaves every
+epoch untouched by construction.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Iterable, Iterator, Mapping, Optional
 
 from repro.database.transitions import DatabaseTransition
-from repro.errors import SchemaMismatchError, UnknownRelationError
+from repro.errors import (
+    SchemaMismatchError,
+    TransactionConflictError,
+    UnknownRelationError,
+)
 from repro.multiset import Delta
 from repro.relation import Relation
 from repro.schema import DatabaseSchema, RelationSchema
@@ -54,6 +61,8 @@ class Database:
         #: never removed: re-creating a dropped relation must not reuse
         #: an epoch a stale cache entry was tagged with.
         self._epochs: Dict[str, int] = {name: 0 for name in self._relations}
+        #: The epoch each relation was (re-)created at (see :meth:`validate`).
+        self._created: Dict[str, int] = dict(self._epochs)
 
     # -- schema evolution ------------------------------------------------
 
@@ -69,6 +78,7 @@ class Database:
             raise SchemaMismatchError(schema, relation.schema, "create_relation")
         self._relations[schema.name] = relation.rename(schema.name)
         self._bump_epoch(schema.name)
+        self._created[schema.name] = self._epochs[schema.name]
         return self._relations[schema.name]
 
     def drop_relation(self, name: str) -> None:
@@ -138,36 +148,70 @@ class Database:
         """The current state ``D^t`` as an immutable value."""
         return dict(self._relations)
 
-    def install(self, state: DatabaseState) -> DatabaseTransition:
-        """Commit ``state`` as ``D^{t+1}`` and advance logical time.
+    def commit(
+        self,
+        pinned: Mapping[str, int],
+        reads: Iterable[str],
+        deltas: Mapping[str, Delta],
+    ) -> DatabaseTransition:
+        """Commit a transaction's net deltas as ``D^{t+1}``, or refuse it.
 
-        Per relation the net change ``(Δ⁻, Δ⁺)`` is read off the deltas
-        the statements chained onto the new relation
-        (:meth:`~repro.relation.Relation.delta_from`; a diff only for
-        hand-built states).  A relation whose net delta is empty keeps
-        its installed object and its epoch; every other one bumps its
-        epoch.  The recorded single-step transition (Definition 2.6)
-        holds only the deltas, and the installed relations drop their
-        link to the versions they replace, so no superseded state stays
-        reachable from the database.
+        ``pinned`` is the epoch vector taken with its snapshot, ``reads``
+        every base relation it read, ``deltas`` each written relation's net
+        ``(Δ⁻, Δ⁺)``.  After :meth:`validate` each delta is applied to the
+        *head*: a blind insert lands on a version newer than its snapshot,
+        the serial result as ⊎ commutes (Theorem 3.3).
         """
-        before = self._relations
-        after = dict(state)
-        deltas: Dict[str, Delta] = {}
-        for name in before.keys() | after.keys():
-            old = before.get(name)
-            new = after.get(name)
-            if old is new:
-                continue
-            if new is None:
-                delta = Delta(minus=old.tuples)
-            else:
-                delta = new.delta_from(old) if old is not None else Delta(plus=new.tuples)
-                new.forget_lineage()
-                if old is not None and not delta:
-                    after[name] = old
-                    continue
-            deltas[name] = delta
+        self.validate(pinned, reads, deltas)
+        return self._advance(deltas)
+
+    def validate(
+        self,
+        pinned: Mapping[str, int],
+        reads: Iterable[str],
+        deltas: Mapping[str, Delta],
+    ) -> None:
+        """Backward validation at relation granularity (Kung & Robinson).
+
+        Raises :class:`~repro.errors.TransactionConflictError` if a relation
+        in ``reads`` left its pinned epoch or a delta's target was dropped
+        or re-created since; a transaction without a delta serializes at
+        its pin and is never refused.
+        """
+        written = [name for name, delta in deltas.items() if delta]
+        stale = {name for name in reads if self.epoch(name) != pinned.get(name, 0)}
+        stale.update(
+            name for name in written
+            if name not in self._relations or self._created[name] > pinned.get(name, 0)
+        )
+        if written and stale:
+            raise TransactionConflictError(sorted(stale))
+
+    def post_state(self, deltas: Mapping[str, Delta]) -> Dict[str, Relation]:
+        """The head with ``deltas`` applied, not installed."""
+        state = dict(self._relations)
+        for name, delta in deltas.items():
+            if delta:
+                state[name] = state[name].apply_delta(delta)
+        return state
+
+    def install(self, state: DatabaseState) -> DatabaseTransition:
+        """Install a hand-built state as ``D^{t+1}``, unvalidated."""
+        head = self._relations
+        changed = {name: new for name, new in state.items() if new is not head[name]}
+        return self._advance({name: new.delta_from(head[name]) for name, new in changed.items()})
+
+    def _advance(self, deltas: Mapping[str, Delta]) -> DatabaseTransition:
+        """Apply ``deltas`` to the head and record one transition.
+
+        Only relations with a non-empty delta get a new object and epoch;
+        the transition keeps only the deltas (Definition 2.6), and no
+        superseded version stays reachable from the database.
+        """
+        deltas = {name: delta for name, delta in deltas.items() if delta}
+        after = self.post_state(deltas)
+        for name in deltas:
+            after[name].forget_lineage()
             self._bump_epoch(name)
         transition = DatabaseTransition.from_deltas(
             deltas, self._logical_time, self._logical_time + 1

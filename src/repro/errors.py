@@ -409,12 +409,12 @@ class ServerShutdownError(ServerError):
     wire_code = "REPRO-SHUTDOWN"
 
 
-class TransactionConflictError(ServerError):
-    """First-committer-wins: a concurrent commit invalidated this one.
+class TransactionConflictError(TransactionAbort):
+    """A concurrent commit changed a relation this transaction read.
 
-    A snapshot transaction tried to commit a relation whose epoch moved
-    past the value pinned at transaction start.  The transaction has
-    been rolled back; the client may retry on a fresh snapshot.
+    Every relation a transaction read must still be at the epoch pinned
+    with its snapshot at commit (a blind insert reads nothing of its
+    target).  Otherwise it aborts and may retry on a fresh snapshot.
     """
 
     wire_code = "REPRO-CONFLICT"

@@ -6,7 +6,9 @@ outputs produced by query statements.  Statements mutate the context;
 the transaction machinery decides whether the working state ever becomes
 the next database state ``D^{t+1}`` (Definition 4.3).
 
-The context also owns the evaluation strategy: the reference evaluator
+The context also records what commit validates (the epochs pinned with
+the snapshot, the base relations read) and yields the net deltas.  It
+owns the evaluation strategy: the reference evaluator
 by default, optionally the physical engine and/or the optimizer — and,
 when a :class:`~repro.cache.QueryCache` is attached, every expression
 evaluation is routed through it.  The cache decides per lookup whether
@@ -17,11 +19,13 @@ which is why attaching a cache to transactional contexts is safe).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Set
 
 from repro.algebra import AlgebraExpr
+from repro.cache.fingerprint import base_relations
 from repro.engine import StatisticsCatalog, evaluate, execute
 from repro.errors import DuplicateRelationError, UnknownRelationError
+from repro.multiset import Delta
 from repro.relation import Relation
 
 __all__ = ["ExecutionContext"]
@@ -42,6 +46,8 @@ class ExecutionContext:
     ) -> None:
         #: Working copies of the base relations.
         self.relations: Dict[str, Relation] = dict(relations)
+        #: The base relations as pinned, for :meth:`deltas`.
+        self._pinned_relations: Dict[str, Relation] = dict(relations)
         #: Temporary relations created by assignment statements.
         self.temporaries: Dict[str, Relation] = {}
         #: Results of query statements, in execution order.
@@ -54,6 +60,11 @@ class ExecutionContext:
         #: The database this working state was snapshotted from — the
         #: cache needs it to check epochs and working-state divergence.
         self.database = database
+        #: The database's epoch vector and logical time at the snapshot.
+        self.pinned: Dict[str, int] = database.epochs() if database is not None else {}
+        self.pinned_time = database.logical_time if database is not None else 0
+        #: Relations read: named by an evaluated expression, or a delete/update target.
+        self.reads: Set[str] = set()
         #: Physical operator family: ``"pairs"`` or ``"vector"``
         #: (ignored by the reference evaluator).
         self._engine = engine
@@ -98,6 +109,15 @@ class ExecutionContext:
             raise DuplicateRelationError(name)
         self.temporaries[name] = relation.rename(name)
 
+    def deltas(self) -> Dict[str, Delta]:
+        """Each written base relation's net delta against its pinned version."""
+        pinned = self._pinned_relations
+        return {
+            name: relation.delta_from(pinned[name])
+            for name, relation in self.relations.items()
+            if relation is not pinned[name]
+        }
+
     # -- evaluation strategy (read by the cache) --------------------------
 
     @property
@@ -123,6 +143,7 @@ class ExecutionContext:
         duplicate-elimination / cache call sites can credit it, and the
         result cardinalities are tallied here.
         """
+        self.reads.update(base_relations(expr) & self.relations.keys())
         if self.account is None:
             return self._evaluate_direct(expr)
         from repro.obs.telemetry import activate

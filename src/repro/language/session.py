@@ -50,7 +50,7 @@ from repro.engine.statistics import StatisticsCatalog
 from repro.errors import TransactionAbort, TransactionError
 from repro.language.context import ExecutionContext
 from repro.language.statements import Assign, Delete, Insert, Query, Statement, Update
-from repro.language.transactions import Transaction, TransactionResult
+from repro.language.transactions import Transaction, TransactionResult, commit
 from repro import obs
 from repro.obs import QueryLog
 from repro.optimizer import optimize
@@ -539,23 +539,15 @@ class ActiveTransaction:
     # -- brackets -----------------------------------------------------------------
 
     def commit(self) -> TransactionResult:
-        """Close the brackets: constraint-check and install ``D^{t+1}``."""
+        """Close the brackets: commit ``D^{t+1}`` or abort on a conflict."""
         self._require_open()
         self._finished = True
         try:
-            Transaction._check_constraints(
-                self._session.constraints, self._context
-            )
+            transition = commit(self._context, self._session.constraints)
         except TransactionAbort as abort:
             obs.add("transactions.aborted")
             return TransactionResult(
                 False, self._context.outputs, abort, None, []
-            )
-        with obs.span(
-            "commit", logical_time=self._session.database.logical_time
-        ):
-            transition = self._session.database.install(
-                self._context.relations
             )
         obs.add("transactions.committed")
         return TransactionResult(
@@ -575,7 +567,7 @@ class ActiveTransaction:
         if exc_type is None:
             result = self.commit()
             if not result.committed:
-                # Constraint violation at the end bracket: surface it.
+                # Conflict or constraint violation at the end bracket.
                 assert result.error is not None
                 raise result.error
             return False

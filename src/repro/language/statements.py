@@ -76,7 +76,8 @@ class Delete(Statement):
             raise SchemaMismatchError(
                 current.schema, removal.schema, f"delete from {self.target!r}"
             )
-        # R − E = R − (R ∩ E): removing only what R holds never floors.
+        # R − E = R − (R ∩ E) never floors; R ∩ E reads R.
+        context.reads.add(self.target)
         matched = current.intersection(removal)
         context.set_relation(
             self.target, current.apply_delta(Delta(minus=matched.tuples))
@@ -120,6 +121,7 @@ class Update(Statement):
                 self.assignments,
                 f"update {self.target!r} attribute expression list arity",
             )
+        context.reads.add(self.target)  # R ∩ E reads R
         matched = current.intersection(selector)
         rewritten_expr = ExtendedProject(
             self.assignments,

@@ -6,23 +6,25 @@ intermediate states ``D^{t.0} = D^t, D^{t.1}, ..., D^{t.n}`` which may
 contain temporary relations and "have no semantics beyond the execution
 of T".  The end bracket either
 
-* **commits**: temporary relations are removed from ``D^{t.n}`` and the
-  result is installed as ``D^{t+1}`` (one single-step transition); or
+* **commits**: temporaries are dropped and the net delta of each written
+  base relation is applied as ``D^{t+1}`` (one single-step transition); or
 * **aborts**: the working state is discarded — the database is unchanged
   (it was never written before commit, so there is nothing to undo).
 
 Atomicity is the property this module enforces:
 ``T(D) = D^{t.n}|_base`` or ``T(D) = D`` — nothing in between is ever
-visible.  Isolation is by construction: transactions run serially
-against the database object.  Durability is out of scope for an
-in-memory reproduction (the paper's model is PRISMA/DB, a main-memory
-system).  Correctness hooks are integrity constraints
+visible.  Isolation is serializability: transactions run against pinned
+snapshots, and :meth:`~repro.database.Database.commit` aborts one with
+:class:`~repro.errors.TransactionConflictError` if a base relation it
+read was changed by another commit since.  Durability is out of scope
+for an in-memory reproduction (the paper's model is PRISMA/DB, a
+main-memory system).  Correctness hooks are integrity constraints
 (:mod:`repro.extensions.constraints`) checked before commit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence
 
 from repro.algebra import AlgebraExpr
 from repro.database import Database, DatabaseTransition
@@ -33,11 +35,38 @@ from repro.language.programs import Program
 from repro.language.statements import Statement
 from repro.relation import Relation
 
-__all__ = ["Transaction", "TransactionResult", "IntermediateState"]
+__all__ = ["Transaction", "TransactionResult", "IntermediateState", "check_constraints", "commit"]
 
 #: A snapshot of one intermediate state D^{t.i}: (statement index, relations
 #: including temporaries at that point).
 IntermediateState = tuple
+
+
+def check_constraints(
+    constraints: Sequence[object], state: Mapping[str, Relation]
+) -> None:
+    """Run integrity constraints against a would-be post-state."""
+    for constraint in constraints:
+        check = getattr(constraint, "check", None)
+        if check is None:
+            raise TypeError(f"{constraint!r} is not a constraint")
+        check(state)
+
+
+def commit(
+    context: ExecutionContext, constraints: Sequence[object] = ()
+) -> DatabaseTransition:
+    """The end bracket: validate, check constraints on head ⊕ Δ, commit.
+
+    A conflict or violation raises :class:`~repro.errors.TransactionAbort`.
+    """
+    database = context.database
+    deltas = context.deltas()
+    if constraints:
+        database.validate(context.pinned, context.reads, deltas)
+        check_constraints(constraints, database.post_state(deltas))
+    with obs.span("commit", logical_time=database.logical_time):
+        return database.commit(context.pinned, context.reads, deltas)
 
 
 class TransactionResult:
@@ -86,18 +115,19 @@ class Transaction:
         """Execute against ``database`` with full atomicity.
 
         Any exception raised by a statement — including an explicit
-        :class:`~repro.errors.TransactionAbort` and constraint
-        violations — aborts the transaction: its working state is
-        discarded, nothing is installed, and the exception is reported
-        in the result (never re-raised for :class:`TransactionAbort`;
-        other exceptions propagate, since they are bugs rather than
-        semantics).  The database itself is never written before
-        :meth:`~repro.database.Database.install`, so an abort cannot
-        disturb commits made by other sessions in the meantime.
+        :class:`~repro.errors.TransactionAbort`, constraint violations
+        and commit conflicts — aborts the transaction: its working state
+        is discarded, nothing is installed, and the exception is
+        reported in the result (never re-raised for
+        :class:`TransactionAbort`; other exceptions propagate, since
+        they are bugs rather than semantics).  The database itself is
+        never written before :meth:`~repro.database.Database.commit`,
+        so an abort cannot disturb commits made by other sessions in the
+        meantime.
 
         ``cache`` optionally carries a :class:`~repro.cache.QueryCache`
         for the reads this transaction performs.  Because relation
-        epochs advance only at :meth:`~repro.database.Database.install`,
+        epochs advance only at :meth:`~repro.database.Database.commit`,
         an abort leaves the epoch picture untouched — cache entries
         valid before the transaction stay valid after the rollback, and
         nothing computed from the discarded working state
@@ -127,32 +157,19 @@ class Transaction:
                         intermediate_states.append(
                             (index, dict(context.environment()))
                         )
-                self._check_constraints(constraints, context)
+                # The end bracket drops temporaries and commits D^{t+1}.
+                transition = commit(context, constraints)
             except TransactionAbort as abort:
                 span.set(outcome="abort", reason=str(abort))
                 obs.add("transactions.aborted")
                 return TransactionResult(
                     False, context.outputs, abort, None, intermediate_states
                 )
-            # Commit: the end bracket drops temporaries and installs D^{t+1}.
-            with obs.span("commit"):
-                transition = database.install(context.relations)
             span.set(outcome="commit", committed_time=database.logical_time)
             obs.add("transactions.committed")
         return TransactionResult(
             True, context.outputs, None, transition, intermediate_states
         )
-
-    @staticmethod
-    def _check_constraints(
-        constraints: Sequence["object"], context: ExecutionContext
-    ) -> None:
-        """Run integrity constraints against the would-be post-state."""
-        for constraint in constraints:
-            check = getattr(constraint, "check", None)
-            if check is None:
-                raise TypeError(f"{constraint!r} is not a constraint")
-            check(context.relations)
 
     def __repr__(self) -> str:
         return f"({self.program!r})"

@@ -14,6 +14,7 @@ algorithms; the test suite checks the two agree on random inputs.
 
 from __future__ import annotations
 
+import weakref
 from typing import (
     Any,
     Callable,
@@ -49,7 +50,7 @@ def _param_value(row: Row, param_position: int) -> Any:
 class Relation:
     """A multi-set of tuples over a fixed relation schema."""
 
-    __slots__ = ("_schema", "_tuples", "_lineage", "__weakref__")
+    __slots__ = ("_schema", "_tuples", "_lineage", "_image", "__weakref__")
 
     def __init__(
         self,
@@ -59,8 +60,10 @@ class Relation:
         validate: bool = True,
     ) -> None:
         self._schema = schema
-        #: ``(base, net delta since base)`` when built by :meth:`apply_delta`.
+        #: ``(base, net delta since base)`` when built by :meth:`apply_delta`;
+        #: a base keeps a weak link to its latest such descendant.
         self._lineage: Optional[Tuple["Relation", Delta[Row]]] = None
+        self._image: Optional["weakref.ref[Relation]"] = None
         if isinstance(rows, Mapping):
             if validate:
                 pairs = [
@@ -83,7 +86,7 @@ class Relation:
         relation = cls.__new__(cls)
         relation._schema = schema
         relation._tuples = tuples
-        relation._lineage = None
+        relation._lineage = relation._image = None
         return relation
 
     def __reduce__(self) -> Tuple[Any, ...]:
@@ -220,8 +223,13 @@ class Relation:
         no multiplicity floors or goes negative; :class:`ValueError`
         otherwise.  The result remembers its base and the delta composed
         since, so :meth:`delta_from` reads the net change without
-        comparing bags.
+        comparing bags.  Applying the very delta :meth:`delta_from` read
+        off a live descendant returns that descendant instead of a copy.
         """
+        image = self._image() if self._image is not None else None
+        lineage = image._lineage if image is not None else None  # read once
+        if lineage is not None and lineage[0] is self and lineage[1] is delta:
+            return image
         result = Relation.from_multiset(
             self._schema, self._tuples.apply_delta(delta.minus, delta.plus)
         )
@@ -230,6 +238,7 @@ class Relation:
         else:
             base, earlier = self._lineage
             result._lineage = (base, earlier.then(delta))
+        result._lineage[0]._image = weakref.ref(result)
         return result
 
     def delta_from(self, base: "Relation") -> Delta[Row]:

@@ -7,11 +7,13 @@ connect concurrently, each gets a session, and the server guarantees
 that every committed write is a single-step transition while every read
 observes exactly one state ``D^t`` — never a mixture.
 
-Isolation is **snapshot isolation on epochs**: ``begin`` pins the
+Isolation is **serializable, validated on epochs**: ``begin`` pins the
 current state and the per-relation epoch vector; reads inside the
 bracket see the pinned state plus the transaction's own writes; commit
 succeeds only if no concurrently committed transition touched a relation
-this transaction wrote (first-committer-wins, ``REPRO-CONFLICT``).
+this transaction *read* (otherwise ``REPRO-CONFLICT``), and then applies
+the transaction's net delta to the current state.  A blind insert reads
+nothing, so it never conflicts.
 
 The pieces:
 

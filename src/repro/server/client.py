@@ -143,7 +143,9 @@ class ServerClient:
         """Commit the open transaction.
 
         Raises :class:`RemoteError` with code ``REPRO-CONFLICT`` when a
-        concurrent commit invalidated it (first-committer-wins).
+        concurrent commit changed a relation this transaction read; the
+        transaction is rolled back.  Commits that succeed are
+        serializable in logical-time order.
         """
         return self.request("commit")
 

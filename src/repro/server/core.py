@@ -50,6 +50,7 @@ from repro.errors import (
     ServerShutdownError,
 )
 from repro.language.context import ExecutionContext
+from repro.language.transactions import check_constraints
 from repro.obs import QueryLog
 from repro.obs.telemetry import ResourceAccount, TelemetryServer
 from repro.obs.trace import new_span_id
@@ -672,10 +673,7 @@ class QueryServer:
             )
 
     def _op_begin(self, session: ServerSession) -> Dict[str, Any]:
-        context = self._pin_context()
-        session.begin(
-            context, self.database.epochs(), self.database.logical_time
-        )
+        session.begin(self._pin_context())
         obs.add("server.transactions.begun", client=session.client_id)
         return {
             "in_transaction": True,
@@ -741,11 +739,7 @@ class QueryServer:
                             abandoned=hold_lock_past_return,
                         )
                     )
-                    session.check_constraints(
-                        self.constraints, context.relations
-                    )
-                    with self._install_guard():
-                        self.database.install(context.relations)
+                    await self._commit(context, hold_lock_past_return)
                     obs.add(
                         "server.transactions.committed",
                         client=session.client_id,
@@ -773,10 +767,10 @@ class QueryServer:
             )
         # The pinned context outlives this request; meter it with this
         # request's account for the duration of the statement batch.
-        txn.context.account = account
+        txn.account = account
         try:
             outputs = await self._run_in_executor(
-                lambda: session.run_statements(parsed.statements, txn.context)
+                lambda: session.run_statements(parsed.statements, txn)
             )
         except Exception:
             # Statements may have half-applied to the working state —
@@ -788,65 +782,64 @@ class QueryServer:
             raise
         finally:
             if session.txn is not None:
-                txn.context.account = None
-        txn.written.update(parsed.write_targets())
+                txn.account = None
         return {
             "results": [relation_to_wire(relation) for relation in outputs],
             "committed": False,
             "in_transaction": True,
-            "logical_time": txn.logical_time,
+            "logical_time": txn.pinned_time,
         }
 
     async def _op_commit(self, session: ServerSession) -> Dict[str, Any]:
         txn = session.require_txn()
-        written_base = [
-            name for name in txn.written if name not in txn.context.temporaries
-        ]
-        if not written_base:
-            # A read-only transaction commits without a transition.
-            session.txn = None
-            return {
-                "committed": True,
-                "in_transaction": False,
-                "relations": [],
-                "logical_time": self.database.logical_time,
-            }
-        await self._acquire_write_lock()
-        hold_lock_past_return: List["asyncio.Future[Any]"] = []
-        try:
-            with obs.span("server.commit", client=session.client_id):
-                try:
-                    session.conflict_check(txn, self.database.epochs())
-                    merged, written = session.merged_post_state(
-                        txn, dict(self.database.snapshot())
-                    )
-                    await self._run_in_executor(
-                        lambda: session.check_constraints(
-                            self.constraints, merged
-                        ),
-                        abandoned=hold_lock_past_return,
-                    )
-                except Exception:
-                    session.txn = None
-                    obs.add(
-                        "server.transactions.rolled_back",
-                        client=session.client_id,
-                    )
-                    raise
-                with self._install_guard():
-                    self.database.install(merged)
-            session.txn = None
-            obs.add(
-                "server.transactions.committed", client=session.client_id
+        written: List[str] = []
+        # Without a net delta the transaction serializes at its begin:
+        # no validation, no write lock, no transition.
+        if any(txn.deltas().values()):
+            await self._acquire_write_lock()
+            hold_lock_past_return: List["asyncio.Future[Any]"] = []
+            try:
+                with obs.span("server.commit", client=session.client_id):
+                    written = await self._commit(txn, hold_lock_past_return)
+            except Exception:
+                session.txn = None
+                obs.add(
+                    "server.transactions.rolled_back", client=session.client_id
+                )
+                raise
+            finally:
+                self._release_write_lock(hold_lock_past_return)
+            obs.add("server.transactions.committed", client=session.client_id)
+        session.txn = None
+        return {
+            "committed": True,
+            "in_transaction": False,
+            "relations": written,
+            "logical_time": self.database.logical_time,
+        }
+
+    async def _commit(
+        self,
+        context: ExecutionContext,
+        abandoned: List["asyncio.Future[Any]"],
+    ) -> List[str]:
+        """Commit ``context``; the caller holds the write lock.
+
+        Validation and the install run on the event loop, the constraint
+        check over head ⊕ Δ on the executor.  Returns the written names.
+        """
+        deltas = context.deltas()
+        self.database.validate(context.pinned, context.reads, deltas)
+        if self.constraints:
+            await self._run_in_executor(
+                lambda: check_constraints(
+                    self.constraints, self.database.post_state(deltas)
+                ),
+                abandoned=abandoned,
             )
-            return {
-                "committed": True,
-                "in_transaction": False,
-                "relations": written,
-                "logical_time": self.database.logical_time,
-            }
-        finally:
-            self._release_write_lock(hold_lock_past_return)
+        with self._install_guard():
+            self.database.commit(context.pinned, context.reads, deltas)
+        return sorted(name for name, delta in deltas.items() if delta)
 
     # -- execution plumbing ------------------------------------------------
 

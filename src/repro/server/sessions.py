@@ -7,11 +7,12 @@ the server's global write lock.  ``begin`` pins a snapshot *and* the
 per-relation epochs at that instant; until ``commit``/``rollback`` every
 statement of the connection executes against that pinned working state —
 reads see the snapshot (plus the transaction's own writes), never a
-concurrent committer's.  This is readers-writer snapshot isolation built
-directly on the cache's epoch machinery (PR 4): the pinned epoch vector
-is both the isolation witness and, at commit, the first-committer-wins
-conflict check — a written relation whose database epoch moved past the
-pinned value aborts the transaction with ``REPRO-CONFLICT``.
+concurrent committer's.  At ``commit`` the working state's net deltas
+go to :meth:`~repro.database.Database.commit`, which validates that
+every relation the transaction read is still at its pinned epoch and
+applies the deltas to the current head; a stale read aborts the
+transaction with ``REPRO-CONFLICT``.  Committed transactions are
+therefore serializable in logical-time order.
 
 The session itself is plain synchronous state; the asyncio orchestration
 (locks, executor dispatch, timeouts) lives in
@@ -20,24 +21,12 @@ The session itself is plain synchronous state; the asyncio orchestration
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.errors import (
-    LintError,
-    ProtocolError,
-    TransactionConflictError,
-)
+from repro.errors import LintError, ProtocolError
 from repro.language.context import ExecutionContext
 from repro.obs.telemetry import ResourceAccount
-from repro.language.statements import (
-    Assign,
-    Delete,
-    Insert,
-    Query,
-    Statement,
-    Update,
-)
+from repro.language.statements import Query, Statement
 from repro.relation import Relation
 from repro.sql.ast import SelectQuery
 from repro.sql.parser import parse_sql
@@ -53,7 +42,7 @@ from repro.xra.parser import (
     parse_script,
 )
 
-__all__ = ["ServerSession", "PinnedTransaction", "ParsedScript"]
+__all__ = ["ServerSession", "ParsedScript"]
 
 #: DDL item classes — applied against the live database, never inside a
 #: pinned transaction.
@@ -80,33 +69,6 @@ class ParsedScript:
             isinstance(statement, Query) for statement in self.statements
         )
 
-    def write_targets(self) -> List[str]:
-        """Names targeted by write statements, in order, deduplicated."""
-        seen: Dict[str, None] = {}
-        for statement in self.statements:
-            if isinstance(statement, (Insert, Delete, Update, Assign)):
-                seen.setdefault(statement.target)
-        return list(seen)
-
-
-class PinnedTransaction:
-    """An open transaction: pinned working state + pinned epoch vector."""
-
-    __slots__ = ("context", "epochs", "logical_time", "written", "started")
-
-    def __init__(
-        self,
-        context: ExecutionContext,
-        epochs: Dict[str, int],
-        logical_time: int,
-    ) -> None:
-        self.context = context
-        self.epochs = epochs
-        self.logical_time = logical_time
-        #: Base relations this transaction has written (conflict set).
-        self.written: set[str] = set()
-        self.started = time.perf_counter()
-
 
 class ServerSession:
     """State for one client connection."""
@@ -115,8 +77,9 @@ class ServerSession:
         self.server = server
         self.database = server.database  # type: ignore[attr-defined]
         self.client_id = client_id
-        #: The open pinned transaction, or None between brackets.
-        self.txn: Optional[PinnedTransaction] = None
+        #: The open transaction's pinned working state (which carries its
+        #: epochs, reads and deltas for commit), or None between brackets.
+        self.txn: Optional[ExecutionContext] = None
         self.closed = False
         #: Request/statement counters surfaced as per-connection metrics.
         self.requests = 0
@@ -174,15 +137,14 @@ class ServerSession:
     def in_transaction(self) -> bool:
         return self.txn is not None
 
-    def begin(self, context: ExecutionContext, epochs: Dict[str, int],
-              logical_time: int) -> None:
+    def begin(self, context: ExecutionContext) -> None:
         if self.txn is not None:
             raise ProtocolError(
                 "transaction already open (commit or rollback first)"
             )
-        self.txn = PinnedTransaction(context, epochs, logical_time)
+        self.txn = context
 
-    def require_txn(self) -> PinnedTransaction:
+    def require_txn(self) -> ExecutionContext:
         if self.txn is None:
             raise ProtocolError("no open transaction (send 'begin' first)")
         return self.txn
@@ -210,47 +172,3 @@ class ServerSession:
         for statement in statements:
             statement.execute(context)
         return context.outputs[before:]
-
-    @staticmethod
-    def check_constraints(
-        constraints: Sequence[object], state: Dict[str, Relation]
-    ) -> None:
-        """Constraint-check a would-be post-state (commit-time hook)."""
-        for constraint in constraints:
-            check = getattr(constraint, "check", None)
-            if check is None:
-                raise TypeError(f"{constraint!r} is not a constraint")
-            check(state)
-
-    def conflict_check(
-        self, txn: PinnedTransaction, current_epochs: Dict[str, int]
-    ) -> None:
-        """First-committer-wins: written relations must be at pinned epochs."""
-        conflicts = [
-            name
-            for name in sorted(txn.written)
-            if name not in txn.context.temporaries
-            and current_epochs.get(name, 0) != txn.epochs.get(name, 0)
-        ]
-        if conflicts:
-            raise TransactionConflictError(conflicts)
-
-    def merged_post_state(
-        self, txn: PinnedTransaction, current_state: Dict[str, Relation]
-    ) -> Tuple[Dict[str, Relation], List[str]]:
-        """The commit image: current state overlaid with this txn's writes.
-
-        Installing the pinned working state wholesale would clobber
-        concurrent commits to *other* relations; only the relations this
-        transaction actually wrote (and that are base, not temporary)
-        are taken from the working state.
-        """
-        merged = dict(current_state)
-        written = [
-            name
-            for name in sorted(txn.written)
-            if name not in txn.context.temporaries
-        ]
-        for name in written:
-            merged[name] = txn.context.relations[name]
-        return merged, written

@@ -164,3 +164,20 @@ class TestDeltaHistory:
         delta = transition.deltas["t"]
         assert dict(delta.minus.pairs()) == {(1, "a"): 1}
         assert dict(delta.plus.pairs()) == {(2, "b"): 1}
+
+    def test_commit_installs_the_working_relation_when_the_head_stayed(self):
+        from repro.algebra import LiteralRelation
+        from repro.language import Insert
+        from repro.language.context import ExecutionContext
+
+        db = Database()
+        db.create_relation(T, Relation(T, [(1, "a")]))
+        row = LiteralRelation(Relation(T, [(2, "b")]))
+        stayed, moved = (ExecutionContext(db.snapshot(), database=db) for _ in range(2))
+        for context in (moved, stayed):  # stayed's is the head's latest descendant
+            Insert("t", row).execute(context)
+        db.commit(stayed.pinned, stayed.reads, stayed.deltas())
+        assert db["t"] is stayed.relations["t"]  # no second copy of the head
+        db.commit(moved.pinned, moved.reads, moved.deltas())  # blind: lands on the new head
+        assert db["t"] is not moved.relations["t"]
+        assert db["t"].multiplicity((2, "b")) == 2

@@ -9,6 +9,7 @@ from repro.errors import (
     DuplicateRelationError,
     SchemaMismatchError,
     TransactionAbort,
+    TransactionConflictError,
     TransactionError,
     UnknownRelationError,
 )
@@ -324,6 +325,108 @@ class TestSession:
         query_reference = Session(db_reference, use_physical_engine=False)
         expr = Select("k = 1", t_ref()).project(["v"])
         assert query_physical.query(expr) == query_reference.query(expr)
+
+
+A = RelationSchema.of("a", x=INTEGER)
+B = RelationSchema.of("b", x=INTEGER)
+
+
+class TestCommitKeepsOtherCommits:
+    """A commit applies its own net delta at the head and nothing else.
+
+    Over relations ``a = b = {1}``, session A opens a transaction and
+    writes ``a``; session B commits an insert into ``b`` meanwhile; then
+    A commits.  B's commit must survive A's, and the installed state must
+    be the initial state with every recorded transition applied.  A
+    transaction whose *read* was overwritten meanwhile must abort
+    instead of committing a state no serial order produces.
+    """
+
+    def setup_method(self):
+        self.db = Database()
+        for schema in (A, B):
+            self.db.create_relation(schema, Relation(schema, [(1,)]))
+        self.initial = self.db.snapshot()
+        self.b = Session(self.db)
+
+    def ref(self, name):
+        return RelationRef(name, {"a": A, "b": B}[name])
+
+    def one(self, name):
+        return LiteralRelation(Relation({"a": A, "b": B}[name], [(1,)]))
+
+    def commit_b(self):
+        assert self.b.insert("b", self.one("b")).committed
+
+    def replayed(self):
+        state = self.initial
+        for transition in self.db.transitions:
+            state = transition.apply(state)
+        return state
+
+    def test_open_transaction_keeps_a_concurrent_commit(self):
+        with Session(self.db).transaction() as txn:
+            txn.insert("a", self.one("a"))
+            self.commit_b()
+        assert len(self.db["a"]) == 2
+        assert len(self.db["b"]) == 2  # B's insert was not reverted
+        assert self.db.logical_time == 2
+        assert self.db.snapshot() == self.replayed()
+
+    def test_one_shot_transaction_keeps_a_concurrent_commit(self):
+        test = self
+
+        class CommitElsewhere:
+            def execute(self, _ctx):
+                test.commit_b()
+
+        result = Transaction([Insert("a", self.one("a")), CommitElsewhere()]).run(self.db)
+        assert result.committed
+        assert len(self.db["b"]) == 2
+        assert self.db.snapshot() == self.replayed()
+
+    def test_blind_insert_lands_on_the_newer_head(self):
+        with Session(self.db).transaction() as txn:
+            txn.insert("b", self.one("b"))
+            self.commit_b()
+        assert self.db["b"].multiplicity((1,)) == 3
+        assert self.db.snapshot() == self.replayed()
+
+    def test_stale_read_aborts_with_a_conflict(self):
+        with pytest.raises(TransactionConflictError) as caught:
+            with Session(self.db).transaction() as txn:
+                txn.insert("a", self.ref("b"))  # reads b
+                self.commit_b()
+        assert caught.value.relations == ("b",)
+        assert len(self.db["a"]) == 1
+        assert self.db.snapshot() == self.replayed()
+
+    def test_stale_delete_target_aborts(self):
+        test = self
+
+        class CommitElsewhere:
+            def execute(self, _ctx):
+                test.commit_b()
+
+        delete_b = Delete("b", self.one("b"))  # Δ⁻ = b ∩ E reads b
+        result = Transaction([delete_b, CommitElsewhere()]).run(self.db)
+        assert not result.committed
+        assert isinstance(result.error, TransactionConflictError)
+        assert self.db.snapshot() == self.replayed()
+
+    def test_read_only_transaction_commits_on_a_moved_head(self):
+        with Session(self.db).transaction() as txn:
+            seen = txn.query(self.ref("b"))
+            self.commit_b()
+        assert len(seen) == 1  # it serializes at its begin
+
+    def test_recreated_target_conflicts(self):
+        with pytest.raises(TransactionConflictError):
+            with Session(self.db).transaction() as txn:
+                txn.insert("b", self.one("b"))
+                self.db.drop_relation("b")
+                self.db.create_relation(B)
+        assert len(self.db["b"]) == 0
 
 
 class TestAbortKeepsOtherCommits:

@@ -146,6 +146,7 @@ def test_transaction_sees_its_own_writes(server) -> None:
 def test_write_conflict_first_committer_wins(server) -> None:
     with connect(server) as first, connect(server) as second:
         first.begin()
+        first.xra("? acct;")  # the read is what a later commit invalidates
         first.xra("insert(acct, tuples[('x', 1)]);")
         second.xra("insert(acct, tuples[('y', 2)]);")  # auto-commit wins
         with pytest.raises(RemoteError) as caught:
@@ -158,6 +159,59 @@ def test_write_conflict_first_committer_wins(server) -> None:
         assert first.commit()["committed"] is True
         (result,) = first.xra("? acct;")
         assert len(result) == 5
+
+
+def test_blind_inserts_both_commit(server) -> None:
+    """A literal insert reads nothing of its target, so two of them
+    commute (⊎ is commutative and associative) and both commit."""
+    with connect(server) as first, connect(server) as second:
+        first.begin()
+        second.begin()
+        first.xra("insert(acct, tuples[('x', 1)]);")
+        second.xra("insert(acct, tuples[('y', 2)]);")
+        assert first.commit()["relations"] == ["acct"]
+        assert second.commit()["relations"] == ["acct"]
+        (result,) = first.xra("? acct;")
+        assert len(result) == 5
+
+
+SKEW_SCRIPT = """
+create a(x: integer);
+create b(x: integer);
+insert(a, tuples[(1)]);
+insert(b, tuples[(1)]);
+"""
+
+
+def test_write_skew_is_refused() -> None:
+    """``insert(b, a)`` ∥ ``insert(a, b)`` from a = b = {1}: both reading
+    the other's target, they cannot both commit — a = b = {1, 1} is no
+    serial order's result.  The survivor's state is a serial replay."""
+    database = Database()
+    XRAInterpreter(database).run(SKEW_SCRIPT)
+    handle = serve_in_background(database, ServerConfig(query_timeout=15.0))
+    statements = ("insert(b, a);", "insert(a, b);")
+    try:
+        with connect(handle) as one, connect(handle) as two:
+            clients = (one, two)
+            for client, text in zip(clients, statements):
+                client.begin()
+                client.xra(text)
+            codes = []
+            for client in clients:
+                try:
+                    client.commit()
+                    codes.append("ok")
+                except RemoteError as error:
+                    codes.append(error.code)
+            assert sorted(codes) == ["REPRO-CONFLICT", "ok"]
+            (a,) = one.xra("? a;")
+            (b,) = one.xra("? b;")
+    finally:
+        handle.stop()
+    replay = Database()
+    XRAInterpreter(replay).run(SKEW_SCRIPT + statements[codes.index("ok")])
+    assert replay.get("a") == a and replay.get("b") == b
 
 
 def test_rollback_discards_the_working_state(server) -> None:
