@@ -8,7 +8,8 @@ equal, what diverges).  EXPERIMENTS.md records paper-vs-measured.
 Besides the human-readable table, every bench run also emits
 machine-readable results: one ``BENCH_<experiment>.json`` file per bench
 module at the *repo root* (or ``$BENCH_RESULTS_DIR``), each a list of
-``{"name", "group", "n", "seconds", ...}`` records — committed so
+``{"name", "group", "n", "seconds", ...}`` records (a partial run
+replaces only the records of the benches it ran) — committed so
 successive PRs can diff the perf trajectory without scraping terminal
 output (``tools/bench_diff.py`` compares them to
 ``benchmarks/baselines/``).
@@ -81,9 +82,32 @@ def pytest_sessionfinish(session, exitstatus):
     results_dir.mkdir(parents=True, exist_ok=True)
     for module, records in sorted(by_module.items()):
         path = results_dir / f"BENCH_{module}.json"
+        merged = _merged(path, records)
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(records, handle, indent=2, sort_keys=True)
+            json.dump(merged, handle, indent=2, sort_keys=True)
             handle.write("\n")
+
+
+def _merged(path: Path, fresh: list) -> list:
+    """``fresh`` records replacing same-``fullname`` ones already at ``path``.
+
+    A run of a subset of a module's benches (``-k``, one test id) must
+    not erase the committed records of the benches that did not run.
+    A retired bench's record therefore stays until it is deleted from
+    the file by hand.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            existing = json.load(handle)
+    except (OSError, ValueError):
+        existing = []
+    by_name = {record["fullname"]: record for record in fresh}
+    merged = [
+        by_name.pop(record.get("fullname"), record)
+        for record in existing
+        if isinstance(record, dict)
+    ]
+    return merged + list(by_name.values())
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,7 @@ from repro.engine import (
     estimate_cost,
     evaluate,
     execute,
-    plan,
+    plan_physical,
 )
 from repro.optimizer import optimize
 from repro.workloads import BeerWorkload, join_chain_relations
@@ -69,7 +69,7 @@ def main() -> None:
     assert baseline == improved, "optimization must preserve the multiset!"
 
     print("\nPhysical plan of the optimized query:")
-    print(plan(optimized).explain())
+    print(plan_physical(optimized).explain())
 
     # ----- join re-association (Theorem 3.3) ---------------------------
     print("\n=== Cost-based join re-association ===")

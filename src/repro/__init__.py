@@ -65,7 +65,7 @@ from repro.engine import (
     evaluate_set,
     execute,
     execute_profiled,
-    plan,
+    plan_physical,
 )
 from repro.presentation import Cursor, order_rows
 from repro.tools import explain
@@ -143,7 +143,7 @@ __all__ = [
     "evaluate_set",
     "execute",
     "execute_profiled",
-    "plan",
+    "plan_physical",
     "optimize",
     "explain",
     "StatisticsCatalog",

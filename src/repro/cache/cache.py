@@ -102,17 +102,16 @@ class CacheStats:
 
 
 class _PlanEntry:
-    """Normal form + fingerprint + read set + physical plans for one tree."""
+    """Normal form + fingerprint + read set + physical plan for one tree."""
 
-    __slots__ = ("normalized", "fingerprint", "deps", "plans")
+    __slots__ = ("normalized", "fingerprint", "deps", "plan")
 
     def __init__(self, normalized: AlgebraExpr) -> None:
         self.normalized = normalized
         self.fingerprint = fingerprint(normalized)
         self.deps = base_relations(normalized)
-        #: One physical plan per engine (``"pairs"``/``"vector"``) — a
-        #: plan embeds its operator family, so it is only reusable there.
-        self.plans: Dict[str, Any] = {}
+        #: The physical plan, made on the first physical execution.
+        self.plan: Optional[Any] = None
 
 
 class CachedResult:
@@ -267,14 +266,9 @@ class QueryCache:
         env = context.environment()
         if not context.use_physical_engine:
             return reference_evaluate(entry.normalized, env)
-        engine = getattr(context, "engine", "pairs")
-        physical = entry.plans.get(engine)
-        if physical is None:
-            physical = plan_physical(entry.normalized, engine=engine)
-            entry.plans[engine] = physical
-        return physical_execute(
-            entry.normalized, env, physical=physical, engine=engine
-        )
+        if entry.plan is None:
+            entry.plan = plan_physical(entry.normalized)
+        return physical_execute(entry.normalized, env, physical=entry.plan)
 
     # -- result storage ---------------------------------------------------
 

@@ -34,11 +34,6 @@ start with a dot:
     .slowlog [SECONDS]    show statements at/above the slow threshold;
                           with SECONDS, set the threshold instead
     .slowlog all          show the full query log (recent entries)
-    .engine NAME          select the physical operator family: "pairs"
-                          (tuple-at-a-time streams, the default) or
-                          "vector" (columnar batches with compiled
-                          expression kernels); bare .engine shows the
-                          current engine
     .cache on [MB]        cache query results (epoch-invalidated) with
                           an optional size budget in MiB (default 64);
                           .cache off disables, .cache clear empties,
@@ -271,9 +266,6 @@ class Shell:
         if command == ".slowlog":
             self.slowlog_command(argument)
             return None
-        if command == ".engine":
-            self.engine_command(argument)
-            return None
         if command == ".cache":
             self.cache_command(argument)
             return None
@@ -328,28 +320,6 @@ class Shell:
             self.print(f"slow-query threshold set to {threshold:g}s")
             return
         self.print(self.query_log.render(slow_only=argument != "all"))
-
-    ENGINE_USAGE = ".engine [pairs | vector]"
-
-    def engine_command(self, argument: str) -> None:
-        """``.engine pairs|vector`` / bare ``.engine``."""
-        argument = argument.strip()
-        if not argument:
-            self.print(
-                f"engine: {self.session.engine}; usage: {self.ENGINE_USAGE}"
-            )
-            return
-        try:
-            self.set_engine(argument)
-        except ValueError as error:
-            self.print_error(ReproError(str(error)))
-            return
-        self.print(f"engine: {self.session.engine}")
-
-    def set_engine(self, engine: str) -> None:
-        """Point the session *and* the script interpreter at one engine."""
-        self.session.set_engine(engine)
-        self.interpreter.set_engine(engine)
 
     CACHE_USAGE = ".cache [on [MB] | off | clear | stats]"
 
@@ -476,11 +446,7 @@ class Shell:
         optimized = optimize(expr, catalog)
         self.print("optimized: " + render(optimized))
         self.print("physical:")
-        self.print(
-            plan_physical(optimized, engine=self.session.engine).explain(
-                indent=1
-            )
-        )
+        self.print(plan_physical(optimized).explain(indent=1))
 
     ANALYZE_USAGE = ".analyze EXPRESSION | .analyze on | .analyze off"
 
@@ -521,9 +487,7 @@ class Shell:
             return
         from repro.engine.profiler import execute_profiled
 
-        result, report = execute_profiled(
-            expr, dict(self.database.as_env()), engine=self.session.engine
-        )
+        result, report = execute_profiled(expr, dict(self.database.as_env()))
         self.print(str(report))
         self.print(f"result: {len(result)} tuple(s), "
                    f"{result.distinct_count} distinct")
@@ -603,10 +567,10 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--engine",
-        choices=("reference", "pairs", "vector"),
+        choices=("reference", "vector"),
         default="reference",
         help="evaluation strategy: the reference evaluator or the "
-        "physical pairs/vector engines",
+        "physical (vector) engine",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -907,13 +871,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="slow-query threshold in seconds (default 1.0)",
     )
     parser.add_argument(
-        "--engine",
-        choices=("pairs", "vector"),
-        default="pairs",
-        help="physical operator family: pairs (tuple-at-a-time streams) "
-        "or vector (columnar batches with compiled kernels)",
-    )
-    parser.add_argument(
         "--lint",
         action="store_true",
         help="lint every statement before running it; findings print "
@@ -956,8 +913,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         shell.analyze_command("on")
     if options.slow_log is not None:
         shell.query_log.slow_threshold = options.slow_log
-    if options.engine != "pairs":
-        shell.set_engine(options.engine)
     if options.cache:
         shell.set_cache(QueryCache(max_bytes=int(options.cache_mb * 1024 * 1024)))
     if options.strict_lint:

@@ -5,7 +5,8 @@ Two engines compute identical results (tested against each other):
 * :func:`evaluate` — the reference evaluator; a literal transliteration
   of the paper's multiplicity equations (semantic ground truth);
 * :func:`execute` — the physical engine; hash joins, hash group-by,
-  pipelined selections/projections over ``(tuple, count)`` streams.
+  pipelined selections/projections over column batches with compiled
+  expression kernels (:mod:`repro.engine.vector`).
 
 Plus the planner's supporting cast: :class:`StatisticsCatalog` and
 :func:`estimate_cardinality` / :func:`estimate_cost` for the optimizer.
@@ -14,11 +15,9 @@ Plus the planner's supporting cast: :class:`StatisticsCatalog` and
 from repro.engine.cost import CostModel, estimate_cost
 from repro.engine.evaluator import Environment, evaluate
 from repro.engine.histograms import EquiDepthHistogram, HistogramCatalog
-from repro.engine.iterators import PhysicalOp, collect
 from repro.engine.planner import (
     execute,
     extract_equi_conjuncts,
-    plan,
     plan_physical,
 )
 from repro.engine.profiler import ProfileReport, execute_profiled
@@ -39,7 +38,6 @@ __all__ = [
     "evaluate",
     "evaluate_set",
     "Environment",
-    "plan",
     "plan_physical",
     "plan_vector",
     "VectorOp",
@@ -48,8 +46,6 @@ __all__ = [
     "execute",
     "execute_profiled",
     "ProfileReport",
-    "collect",
-    "PhysicalOp",
     "extract_equi_conjuncts",
     "StatisticsCatalog",
     "TableStats",

@@ -4,7 +4,7 @@ This evaluator computes an algebra expression bottom-up, delegating each
 operator to the reference implementation on :class:`~repro.relation.Relation`
 — which in turn is a direct transliteration of the paper's multiplicity
 equations.  It is the semantic ground truth of the system: the physical
-engine (:mod:`repro.engine.iterators`), the optimizer, and the front ends
+engine (:mod:`repro.engine.vector`), the optimizer, and the front ends
 are all tested against it.
 
 The evaluation *environment* maps relation names to relations; a

@@ -23,10 +23,11 @@ Usage::
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.algebra import AlgebraExpr
-from repro.engine.iterators import Pairs, PhysicalOp, collect
+from repro.engine.vector.batch import ColumnBatch
+from repro.engine.vector.operators import VectorOp, collect_batches
 from repro.obs.metrics import MetricsRegistry
 from repro.relation import Relation
 
@@ -68,35 +69,45 @@ class OperatorProfile:
         self.invocations = 0
 
 
-class ProfilingOp(PhysicalOp):
-    """A transparent wrapper that counts and times a wrapped operator."""
+class ProfilingOp(VectorOp):
+    """A transparent wrapper that counts and times a wrapped operator.
+
+    It wraps ``batches()``, so a profiled plan runs the same batch code
+    path as an unprofiled one; only the handover between operators is
+    timed and counted.
+    """
 
     __slots__ = ("inner", "profile", "_children")
 
     def __init__(
-        self, inner: PhysicalOp, profile: OperatorProfile, children: Tuple["ProfilingOp", ...]
+        self, inner: VectorOp, profile: OperatorProfile, children: Tuple["ProfilingOp", ...]
     ) -> None:
-        super().__init__(inner.schema)
+        super().__init__(inner.schema, inner.batch_size)
         self.inner = inner
         self.profile = profile
         self._children = children
 
-    def children(self) -> Tuple[PhysicalOp, ...]:
+    @property
+    def consolidated(self) -> bool:
+        return self.inner.consolidated
+
+    def children(self) -> Tuple[VectorOp, ...]:
         return self._children
 
-    def execute(self, env: Dict[str, Relation]) -> Pairs:
+    def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
         profile = self.profile
         profile.invocations += 1
-        start = time.perf_counter()
-        # Rebind the inner operator's children to the profiled versions
-        # happens at wrap time; here we just instrument the stream.
-        for row, count in self.inner.execute(env):
-            profile.seconds += time.perf_counter() - start
-            profile.pairs_out += 1
-            profile.rows_out += count
-            yield row, count
-            start = time.perf_counter()
-        profile.seconds += time.perf_counter() - start
+        clock = time.perf_counter
+        start = clock()
+        # The inner operator's children were rebound to their profiled
+        # versions at wrap time; here we just instrument the stream.
+        for batch in self.inner.batches(env):
+            profile.seconds += clock() - start
+            profile.pairs_out += len(batch.counts)
+            profile.rows_out += sum(batch.counts)
+            yield batch
+            start = clock()
+        profile.seconds += clock() - start
 
     def label(self) -> str:
         return self.inner.label()
@@ -199,7 +210,7 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-def _wrap(op: PhysicalOp, depth: int, sink: List[OperatorProfile]) -> ProfilingOp:
+def _wrap(op: VectorOp, depth: int, sink: List[OperatorProfile]) -> ProfilingOp:
     """Recursively wrap a plan; children are wrapped and re-attached."""
     profile = OperatorProfile(op.label(), op.op_class(), depth, len(sink))
     sink.append(profile)
@@ -216,8 +227,8 @@ def _wrap(op: PhysicalOp, depth: int, sink: List[OperatorProfile]) -> ProfilingO
 
 
 def _rebuild_with_children(
-    op: PhysicalOp, children: Tuple[PhysicalOp, ...]
-) -> PhysicalOp:
+    op: VectorOp, children: Tuple[VectorOp, ...]
+) -> VectorOp:
     """A shallow copy of ``op`` with its child slots pointing at ``children``.
 
     Physical operators keep children in conventional slot names; this
@@ -231,13 +242,13 @@ def _rebuild_with_children(
     for slot in ("child", "left", "right"):
         if hasattr(clone, slot):
             current = getattr(clone, slot)
-            if isinstance(current, PhysicalOp):
+            if isinstance(current, VectorOp):
                 setattr(clone, slot, next(child_iter))
     return clone
 
 
 def profile_plan(
-    physical: PhysicalOp,
+    physical: VectorOp,
 ) -> Tuple[ProfilingOp, List[OperatorProfile]]:
     """Instrument an already-planned operator tree.
 
@@ -255,20 +266,16 @@ def execute_profiled(
     expr: AlgebraExpr,
     env: Dict[str, Relation],
     registry: Optional[MetricsRegistry] = None,
-    engine: str = "pairs",
 ) -> Tuple[Relation, ProfileReport]:
     """Plan, instrument, and run ``expr``; return (result, profile).
 
     With ``registry``, the per-operator counts are also folded into the
     given metrics registry (see :meth:`ProfileReport.emit_metrics`).
-    ``engine`` selects the operator family (``"pairs"``/``"vector"``);
-    either way the counters observe the pair-stream view of every
-    operator, so profiles are comparable across engines.
     """
-    from repro.engine.planner import plan_physical
+    from repro.engine.vector.planner import plan_vector
 
-    instrumented, profiles = profile_plan(plan_physical(expr, engine=engine))
-    result = collect(instrumented, env)
+    instrumented, profiles = profile_plan(plan_vector(expr))
+    result = collect_batches(instrumented, env)
     report = ProfileReport(profiles)
     if registry is not None:
         report.emit_metrics(registry)

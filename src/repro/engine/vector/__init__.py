@@ -1,32 +1,31 @@
-"""Vectorized columnar execution engine.
+"""The physical executor: columnar batch operators.
 
-The third physical engine (after the reference evaluator and the
-pair-stream iterators): relations stream as :class:`ColumnBatch` chunks
-— one value list per attribute plus a multiplicity column — and
-predicates, projections, and join/group keys run as Python closures
-compiled once per plan by :mod:`repro.expressions.compile` instead of
-being interpreted per row.
+Relations stream as :class:`ColumnBatch` chunks — one value list per
+attribute plus a multiplicity column — and predicates, projections, and
+join/group keys run as Python closures compiled by
+:mod:`repro.expressions.compile` instead of being interpreted per row.
 
-Select it with ``Session(engine="vector")``, ``--engine vector`` on the
-CLI, or ``execute(expr, env, engine="vector")``; see
+Every physical plan (``Session``, the XRA interpreter, the server,
+:func:`repro.engine.execute`) runs on these operators; see
 ``docs/vectorized.md`` for the batch model, the expression compiler,
-and exactly when operators fall back to the pair-stream path.
+and when an expression falls back to the AST interpreter.
 """
 
 from repro.engine.vector.batch import (
     ColumnBatch,
     DEFAULT_BATCH_SIZE,
-    batches_from_pairs,
 )
 from repro.engine.vector.operators import (
     VDifferenceOp,
     VDistinctOp,
+    VExtensionOp,
     VFilterOp,
     VGroupByOp,
     VHashJoinOp,
     VIntersectOp,
     VLiteralOp,
     VMapOp,
+    VNestedLoopJoinOp,
     VProjectOp,
     VScanOp,
     VUnionOp,
@@ -39,7 +38,6 @@ from repro.engine.vector.planner import plan_vector
 __all__ = [
     "ColumnBatch",
     "DEFAULT_BATCH_SIZE",
-    "batches_from_pairs",
     "VectorOp",
     "VScanOp",
     "VLiteralOp",
@@ -50,8 +48,10 @@ __all__ = [
     "VDifferenceOp",
     "VIntersectOp",
     "VHashJoinOp",
+    "VNestedLoopJoinOp",
     "VDistinctOp",
     "VGroupByOp",
+    "VExtensionOp",
     "child_batches",
     "collect_batches",
     "plan_vector",

@@ -4,8 +4,8 @@ A :class:`ColumnBatch` holds one value list per attribute plus a
 parallel multiplicity column — a chunk of the paper's set-of-pairs
 relation representation turned on its side.  Operators hand whole
 batches to compiled kernels (:mod:`repro.expressions.compile`), so the
-per-row Python interpretation tax of the pair-stream engine is paid
-once per *batch* instead of once per tuple.
+per-row Python interpretation tax is paid once per *batch* instead of
+once per tuple.
 
 Batches are treated as immutable by convention: operators that do not
 touch a column (projection, filter with full selection) alias it into
@@ -14,15 +14,13 @@ their output batch instead of copying.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 from repro.tuples import Row
 
 __all__ = [
     "ColumnBatch",
     "DEFAULT_BATCH_SIZE",
-    "batches_from_pairs",
     "batches_from_lists",
 ]
 
@@ -120,28 +118,6 @@ class ColumnBatch:
                 rows = [()] * len(self.counts)
             self._rows = rows
         return rows
-
-    def pairs(self) -> Iterator[Tuple[Row, int]]:
-        """Iterate ``(row, multiplicity)`` pairs — the stream form."""
-        return zip(self.rows(), self.counts)
-
-
-def batches_from_pairs(
-    pairs: Iterable[Tuple[Row, int]], degree: int, batch_size: int
-) -> Iterator[ColumnBatch]:
-    """Chunk a ``(row, count)`` stream into column batches.
-
-    The adapter between the two physical engines: any pair-stream
-    operator (exchange, profiler wrapper, extension node) can feed a
-    vector operator through it.
-    """
-    iterator = iter(pairs)
-    while True:
-        chunk = list(islice(iterator, batch_size))
-        if not chunk:
-            return
-        rows, counts = zip(*chunk)
-        yield ColumnBatch.from_rows(rows, counts, degree)
 
 
 def batches_from_lists(

@@ -1,21 +1,16 @@
 """Batch-at-a-time physical operators over :class:`ColumnBatch` chunks.
 
-Each operator mirrors the bag semantics of its pair-stream counterpart
-in :mod:`repro.engine.iterators` exactly — the differential test matrix
-(``tests/test_vector_engine.py``) pins vector results to both the
-reference evaluator and the pairs engine.  The difference is purely
-physical: predicates, projections, and key extraction run as compiled
+The one physical executor.  Every operator implements the bag semantics
+of its algebra operator exactly — the differential corpus
+(``tests/test_differential.py``) pins results to the reference
+evaluator.  Predicates, projections, and key extraction run as compiled
 batch kernels (:mod:`repro.expressions.compile`) over whole columns,
 falling back to the AST interpreter row path when an expression cannot
 be lowered (MONEY arithmetic, extension expressions).
 
-Interoperability: every :class:`VectorOp` still implements
-``execute(env)`` returning a pair stream, and accepts *any*
-:class:`~repro.engine.iterators.PhysicalOp` as a child (non-vector
-children are adapted through :func:`~repro.engine.vector.batch.batches_from_pairs`).
-That keeps the operator profiler, ``explain_analyze`` and extension
-nodes working unchanged — a profiled vector plan simply degrades to
-pair-stream pulls between operators.
+Operators exchange only :class:`ColumnBatch` chunks: the profiler wraps
+``batches()``, and extension nodes (transitive closure) batch the
+relation the reference evaluator computes for them.
 """
 
 from __future__ import annotations
@@ -24,18 +19,17 @@ from collections import defaultdict
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.aggregates import AggregateFunction, Average, Count, Sum
+from repro.aggregates import AggregateFunction, Count, Sum
 from repro.domains import INTEGER
-from repro.engine.iterators import Pairs, PhysicalOp
 from repro.engine.vector.batch import (
     ColumnBatch,
     DEFAULT_BATCH_SIZE,
     batches_from_lists,
-    batches_from_pairs,
 )
 from repro.errors import UnboundAttributeError, UnknownRelationError
 from repro.expressions import AttrRef, ScalarExpr
 from repro.expressions.compile import (
+    _materialize,
     compile_filter_kernel,
     compile_filter_kernel_rows,
     compile_key_kernel,
@@ -62,77 +56,104 @@ __all__ = [
     "VDifferenceOp",
     "VIntersectOp",
     "VHashJoinOp",
+    "VNestedLoopJoinOp",
     "VDistinctOp",
     "VGroupByOp",
+    "VExtensionOp",
     "child_batches",
     "collect_batches",
 ]
 
 
 def child_batches(
-    op: PhysicalOp, env: Dict[str, Relation], batch_size: int
+    op: "VectorOp", env: Dict[str, Relation]
 ) -> Iterator[ColumnBatch]:
-    """Pull batches from any child operator, adapting pair streams.
+    """Pull a child operator's batches.
 
-    Vector children hand over their batches directly; anything else
-    (exchange operators, profiler wrappers, extension nodes, pair-stream
-    fallbacks) is chunked through :func:`batches_from_pairs`.
-
-    When a :class:`~repro.obs.telemetry.ResourceAccount` is active, the
-    handover is counted — batches served natively vs. adapted from a
-    pair stream — which is how a ``stats`` payload shows whether a
-    workload actually runs vectorized or keeps dropping to the fallback.
+    When a :class:`~repro.obs.telemetry.ResourceAccount` is active, each
+    batch handed over is credited to ``batches_vectorized``.  Every
+    operator exchanges batches, so the account's ``batches_fallback``
+    (kept in the ``stats`` payload) stays 0.
     """
-    if isinstance(op, VectorOp):
-        batches = op.batches(env)
-        vectorized = True
-    else:
-        batches = batches_from_pairs(
-            op.execute(env), op.schema.degree, batch_size
-        )
-        vectorized = False
+    batches = op.batches(env)
     acct = _active_account()
     if acct is None:
         return batches
-    return _counted_batches(batches, acct, vectorized)
+    return _counted_batches(batches, acct)
 
 
 def _counted_batches(
-    batches: Iterator[ColumnBatch],
-    acct: Any,
-    vectorized: bool,
+    batches: Iterator[ColumnBatch], acct: Any
 ) -> Iterator[ColumnBatch]:
     """Yield batches unchanged, crediting the account per batch."""
     for batch in batches:
-        if vectorized:
-            acct.batches_vectorized += 1
-        else:
-            acct.batches_fallback += 1
+        acct.batches_vectorized += 1
         yield batch
 
 
-class VectorOp(PhysicalOp):
-    """Base class: a batch-producing physical operator.
+def _relation_batches(relation: Relation, batch_size: int) -> Iterator[ColumnBatch]:
+    """Chunk a materialised relation into row-backed batches."""
+    return batches_from_lists(
+        relation.rows_list(),
+        relation.counts_list(),
+        relation.schema.degree,
+        batch_size,
+    )
 
-    ``batches(env)`` is the native interface; ``execute(env)`` adapts it
-    back to the pair-stream protocol so vector operators compose with
-    the rest of the engine (profiler, exchange, ``collect``).
+
+class VectorOp:
+    """Base class: a physical operator producing :class:`ColumnBatch` chunks.
+
+    ``batches(env)`` returns a fresh batch stream; operators are
+    reusable (each call re-executes the subtree).
     """
 
-    __slots__ = ("batch_size",)
+    __slots__ = ("schema", "batch_size")
+
+    #: True when the operator's stream is duplicate-free — every row
+    #: appears at most once across all batches.  :func:`collect_batches`
+    #: then adopts the rows with a C-speed ``dict`` build instead of
+    #: counting.  Operators that merely drop or combine rows (filter,
+    #: joins) override this with a property delegating to their children.
+    consolidated = False
 
     def __init__(
         self, schema: RelationSchema, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> None:
-        super().__init__(schema)
+        self.schema = schema
         self.batch_size = batch_size
 
     def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
         raise NotImplementedError
 
-    def execute(self, env: Dict[str, Relation]) -> Pairs:
-        for batch in self.batches(env):
-            yield from zip(batch.rows(), batch.counts)
+    def children(self) -> Tuple["VectorOp", ...]:
+        return ()
+
+    def label(self) -> str:
+        """Operator label for explain output."""
+        return self.op_class()
+
+    def op_class(self) -> str:
+        """Kebab-case operator class (``VHashJoinOp`` -> ``v-hash-join``).
+
+        The label the profiler and the metrics layer key per-operator
+        counters by — class-level, unlike :meth:`label`, which may embed
+        instance detail (relation names, predicates).
+        """
+        name = type(self).__name__.removesuffix("Op")
+        parts: List[str] = []
+        for char in name:
+            if char.isupper() and parts:
+                parts.append("-")
+            parts.append(char.lower())
+        return "".join(parts)
+
+    def explain(self, indent: int = 0) -> str:
+        """Indented physical plan rendering."""
+        lines = ["  " * indent + self.label()]
+        for child in self.children():
+            lines.append(child.explain(indent + 1))
+        return "\n".join(lines)
 
 
 class VScanOp(VectorOp):
@@ -156,12 +177,7 @@ class VScanOp(VectorOp):
         if acct is not None:
             acct.rows_scanned += len(relation)
         # Bulk list accessors + slicing: no per-pair iteration at all.
-        return batches_from_lists(
-            relation.rows_list(),
-            relation.counts_list(),
-            self.schema.degree,
-            self.batch_size,
-        )
+        return _relation_batches(relation, self.batch_size)
 
     def label(self) -> str:
         return f"v-scan {self.name}"
@@ -180,12 +196,7 @@ class VLiteralOp(VectorOp):
         self.relation = relation
 
     def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
-        return batches_from_lists(
-            self.relation.rows_list(),
-            self.relation.counts_list(),
-            self.schema.degree,
-            self.batch_size,
-        )
+        return _relation_batches(self.relation, self.batch_size)
 
     def label(self) -> str:
         return f"v-literal[{len(self.relation)}]"
@@ -211,59 +222,65 @@ def _compress(batch: ColumnBatch, selected: Sequence[int]) -> ColumnBatch:
 
 
 class VFilterOp(VectorOp):
-    """Batch selection through a compiled, conjunction-fused kernel."""
+    """Batch selection through a compiled, conjunction-fused kernel.
+
+    The row-layout kernel compiles with the plan; the column-layout
+    twin compiles on the first column-backed batch (scans hand over
+    row-backed batches, so most filters never need it).
+    """
 
     __slots__ = (
         "condition",
         "child",
-        "kernel",
         "row_kernel",
+        "_column_kernel",
         "fallback",
-        "_describe",
     )
 
     def __init__(
         self,
         condition: ScalarExpr,
-        child: PhysicalOp,
-        describe: str = "",
+        child: VectorOp,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         super().__init__(child.schema, batch_size)
         self.condition = condition
         self.child = child
-        # Both layouts compile from the same lowering, so either both
-        # succeed or neither does.
-        self.kernel = compile_filter_kernel(condition, child.schema)
         self.row_kernel = compile_filter_kernel_rows(condition, child.schema)
         self.fallback = (
-            condition.bind(child.schema) if self.kernel is None else None
+            condition.bind(child.schema) if self.row_kernel is None else None
         )
-        self._describe = describe
+        self._column_kernel = None
 
     @property
     def consolidated(self) -> bool:
         # Selection only drops pairs, so a duplicate-free input stays so.
         return self.child.consolidated
 
-    def children(self) -> Tuple[PhysicalOp, ...]:
+    def children(self) -> Tuple[VectorOp, ...]:
         return (self.child,)
 
     def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
-        kernel = self.kernel
         row_kernel = self.row_kernel
         predicate = self.fallback
-        for batch in child_batches(self.child, env, self.batch_size):
+        for batch in child_batches(self.child, env):
             size = len(batch.counts)
             if not size:
                 continue
-            if kernel is None:
+            if row_kernel is None:
                 selected = [
                     index
                     for index, row in enumerate(batch.rows())
                     if predicate(row)
                 ]
-            elif batch.has_columns or row_kernel is None:
+            elif batch.has_columns:
+                kernel = self._column_kernel
+                if kernel is None:
+                    # Both layouts lower the same condition, so this
+                    # succeeds whenever the row kernel did.
+                    kernel = self._column_kernel = compile_filter_kernel(
+                        self.condition, self.schema
+                    )
                 selected = kernel(batch.columns, size)
             else:
                 selected = row_kernel(batch.rows(), size)
@@ -276,9 +293,8 @@ class VFilterOp(VectorOp):
             yield _compress(batch, selected)
 
     def label(self) -> str:
-        suffix = f" [{self._describe}]" if self._describe else ""
-        fallback = " (interpreted)" if self.kernel is None else ""
-        return f"v-filter{suffix}{fallback}"
+        fallback = " (interpreted)" if self.row_kernel is None else ""
+        return f"v-filter [{self.condition!r}]{fallback}"
 
 
 class VProjectOp(VectorOp):
@@ -290,7 +306,7 @@ class VProjectOp(VectorOp):
         self,
         positions: Sequence[int],
         schema: RelationSchema,
-        child: PhysicalOp,
+        child: VectorOp,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         super().__init__(schema, batch_size)
@@ -298,14 +314,14 @@ class VProjectOp(VectorOp):
         self.child = child
         self._row_project = _row_projector(self.positions)
 
-    def children(self) -> Tuple[PhysicalOp, ...]:
+    def children(self) -> Tuple[VectorOp, ...]:
         return (self.child,)
 
     def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
         positions = self.positions
         project_rows = self._row_project
         degree = len(positions)
-        for batch in child_batches(self.child, env, self.batch_size):
+        for batch in child_batches(self.child, env):
             if batch.has_columns:
                 columns = batch.columns
                 yield ColumnBatch(
@@ -359,7 +375,7 @@ class VMapOp(VectorOp):
         self,
         expressions: Sequence[ScalarExpr],
         schema: RelationSchema,
-        child: PhysicalOp,
+        child: VectorOp,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         super().__init__(schema, batch_size)
@@ -396,7 +412,7 @@ class VMapOp(VectorOp):
             )
             self.row_functions = None
 
-    def children(self) -> Tuple[PhysicalOp, ...]:
+    def children(self) -> Tuple[VectorOp, ...]:
         return (self.child,)
 
     def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
@@ -404,7 +420,7 @@ class VMapOp(VectorOp):
         kernel = self.kernel
         row_kernel = self.row_kernel
         degree = self.schema.degree
-        for batch in child_batches(self.child, env, self.batch_size):
+        for batch in child_batches(self.child, env):
             if recipe is None:
                 functions = self.row_functions
                 rows = [
@@ -443,42 +459,48 @@ class VUnionOp(VectorOp):
 
     def __init__(
         self,
-        left: PhysicalOp,
-        right: PhysicalOp,
+        left: VectorOp,
+        right: VectorOp,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         super().__init__(left.schema, batch_size)
         self.left = left
         self.right = right
 
-    def children(self) -> Tuple[PhysicalOp, ...]:
+    def children(self) -> Tuple[VectorOp, ...]:
         return (self.left, self.right)
 
     def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
-        yield from child_batches(self.left, env, self.batch_size)
-        yield from child_batches(self.right, env, self.batch_size)
+        yield from child_batches(self.left, env)
+        yield from child_batches(self.right, env)
 
     def label(self) -> str:
         return "v-union"
 
 
 def _consolidated_counts(
-    op: PhysicalOp, env: Dict[str, Relation], batch_size: int
+    op: VectorOp, env: Dict[str, Relation]
 ) -> Dict[Row, int]:
     """Total multiplicity per row of an operand's batch stream."""
-    if getattr(op, "consolidated", False):
+    if op.consolidated:
         counts: Dict[Row, int] = {}
-        if isinstance(op, VectorOp):
-            for batch in op.batches(env):
-                counts.update(zip(batch.rows(), batch.counts))
-        else:
-            counts.update(op.execute(env))
+        for batch in child_batches(op, env):
+            counts.update(zip(batch.rows(), batch.counts))
         return counts
     totals: Dict[Row, int] = defaultdict(int)
-    for batch in child_batches(op, env, batch_size):
+    for batch in child_batches(op, env):
         for row, count in zip(batch.rows(), batch.counts):
             totals[row] += count
     return totals
+
+
+def _survivor_batches(
+    survivors: Dict[Row, int], degree: int, batch_size: int
+) -> Iterator[ColumnBatch]:
+    """Batch the rows left with a positive multiplicity."""
+    return batches_from_lists(
+        list(survivors), list(survivors.values()), degree, batch_size
+    )
 
 
 class VDifferenceOp(VectorOp):
@@ -489,26 +511,27 @@ class VDifferenceOp(VectorOp):
 
     def __init__(
         self,
-        left: PhysicalOp,
-        right: PhysicalOp,
+        left: VectorOp,
+        right: VectorOp,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         super().__init__(left.schema, batch_size)
         self.left = left
         self.right = right
 
-    def children(self) -> Tuple[PhysicalOp, ...]:
+    def children(self) -> Tuple[VectorOp, ...]:
         return (self.left, self.right)
 
     def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
-        left_counts = _consolidated_counts(self.left, env, self.batch_size)
-        right_counts = _consolidated_counts(self.right, env, self.batch_size)
-        pairs = (
-            (row, count - right_counts.get(row, 0))
+        left_counts = _consolidated_counts(self.left, env)
+        right_counts = _consolidated_counts(self.right, env)
+        get = right_counts.get
+        survivors = {
+            row: count - get(row, 0)
             for row, count in left_counts.items()
-        )
-        survivors = ((row, left) for row, left in pairs if left > 0)
-        return batches_from_pairs(survivors, self.schema.degree, self.batch_size)
+            if count > get(row, 0)
+        }
+        return _survivor_batches(survivors, self.schema.degree, self.batch_size)
 
     def label(self) -> str:
         return "v-difference"
@@ -522,26 +545,26 @@ class VIntersectOp(VectorOp):
 
     def __init__(
         self,
-        left: PhysicalOp,
-        right: PhysicalOp,
+        left: VectorOp,
+        right: VectorOp,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         super().__init__(left.schema, batch_size)
         self.left = left
         self.right = right
 
-    def children(self) -> Tuple[PhysicalOp, ...]:
+    def children(self) -> Tuple[VectorOp, ...]:
         return (self.left, self.right)
 
     def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
-        left_counts = _consolidated_counts(self.left, env, self.batch_size)
-        right_counts = _consolidated_counts(self.right, env, self.batch_size)
-        shared = (
-            (row, min(count, right_counts.get(row, 0)))
+        left_counts = _consolidated_counts(self.left, env)
+        right_counts = _consolidated_counts(self.right, env)
+        survivors = {
+            row: min(count, right_counts[row])
             for row, count in left_counts.items()
-        )
-        survivors = ((row, count) for row, count in shared if count > 0)
-        return batches_from_pairs(survivors, self.schema.degree, self.batch_size)
+            if row in right_counts
+        }
+        return _survivor_batches(survivors, self.schema.degree, self.batch_size)
 
     def label(self) -> str:
         return "v-intersect"
@@ -588,13 +611,7 @@ def _compile_probe(
         emit = fused_emit if fused_emit is not None else "_l + _r2"
         lines.append(f"            _pr({emit})\n")
         lines.append("            _pc(_c * _c2)\n")
-    source = "".join(lines)
-    scope: Dict[str, Any] = {}
-    code = compile(source, "<repro.engine.vector.operators>", "exec")
-    exec(code, scope)  # noqa: S102 - source is generated above, not user input
-    probe = scope["_probe"]
-    probe.__compiled_source__ = source
-    return probe
+    return _materialize("".join(lines), {}, "_probe")
 
 
 class VHashJoinOp(VectorOp):
@@ -628,8 +645,8 @@ class VHashJoinOp(VectorOp):
 
     def __init__(
         self,
-        left: PhysicalOp,
-        right: PhysicalOp,
+        left: VectorOp,
+        right: VectorOp,
         left_exprs: Sequence[ScalarExpr],
         right_exprs: Sequence[ScalarExpr],
         schema: RelationSchema,
@@ -688,7 +705,7 @@ class VHashJoinOp(VectorOp):
             return False
         return self.left.consolidated and self.right.consolidated
 
-    def children(self) -> Tuple[PhysicalOp, ...]:
+    def children(self) -> Tuple[VectorOp, ...]:
         return (self.left, self.right)
 
     def _keys(
@@ -712,7 +729,7 @@ class VHashJoinOp(VectorOp):
     def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
         table: Dict[Any, List[Tuple[Row, int]]] = {}
         setdefault = table.setdefault
-        for batch in child_batches(self.right, env, self.batch_size):
+        for batch in child_batches(self.right, env):
             rows = batch.rows()
             keys = self._keys(
                 batch,
@@ -729,7 +746,7 @@ class VHashJoinOp(VectorOp):
         residual = self.residual
         probe = self._probe
         get = table.get
-        for batch in child_batches(self.left, env, self.batch_size):
+        for batch in child_batches(self.left, env):
             rows = batch.rows()
             keys = self._keys(
                 batch,
@@ -768,6 +785,99 @@ def _row_key(
     return lambda row: tuple(function(row) for function in bound)
 
 
+class VNestedLoopJoinOp(VectorOp):
+    """Cartesian product, optionally filtered: ``E1 × E2`` and ``E1 ⋈_φ E2``.
+
+    Theorem 3.1 (``E1 ⋈_φ E2 = σ_φ(E1 × E2)``) lets one operator serve
+    both.  The right operand is materialised once; each left batch is
+    crossed with it in chunks of about ``batch_size`` output rows, and
+    the predicate — none for ×, φ for a θ-join — runs over each chunk as
+    a compiled row-layout filter kernel.  Multiplicities multiply.
+    """
+
+    __slots__ = ("left", "right", "predicate", "kernel", "fallback")
+
+    def __init__(
+        self,
+        left: VectorOp,
+        right: VectorOp,
+        predicate: Optional[ScalarExpr],
+        schema: RelationSchema,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+    ) -> None:
+        super().__init__(schema, batch_size)
+        self.left = left
+        self.right = right
+        self.predicate = predicate
+        self.kernel = None
+        self.fallback = None
+        if predicate is not None:
+            combined = left.schema.concat(right.schema)
+            self.kernel = compile_filter_kernel_rows(predicate, combined)
+            if self.kernel is None:
+                self.fallback = predicate.bind(combined)
+
+    @property
+    def consolidated(self) -> bool:
+        # Each (left row, right row) combination is emitted at most once
+        # and concatenation is injective at fixed operand degrees.
+        return self.left.consolidated and self.right.consolidated
+
+    def children(self) -> Tuple[VectorOp, ...]:
+        return (self.left, self.right)
+
+    def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
+        right_rows: List[Row] = []
+        right_counts: List[int] = []
+        for batch in child_batches(self.right, env):
+            right_rows.extend(batch.rows())
+            right_counts.extend(batch.counts)
+        if not right_rows:
+            return
+        kernel = self.kernel
+        predicate = self.fallback
+        filtered = self.predicate is not None
+        degree = self.schema.degree
+        step = max(1, self.batch_size // len(right_rows))
+        for batch in child_batches(self.left, env):
+            left_rows = batch.rows()
+            left_counts = batch.counts
+            for start in range(0, len(left_counts), step):
+                stop = start + step
+                rows = [
+                    left + right
+                    for left in left_rows[start:stop]
+                    for right in right_rows
+                ]
+                counts = [
+                    count * right_count
+                    for count in left_counts[start:stop]
+                    for right_count in right_counts
+                ]
+                chunk = ColumnBatch.from_rows(rows, counts, degree)
+                if not filtered:
+                    yield chunk
+                    continue
+                if kernel is not None:
+                    selected = kernel(rows, len(rows))
+                else:
+                    selected = [
+                        index
+                        for index, row in enumerate(rows)
+                        if predicate(row)
+                    ]
+                if len(selected) == len(rows):
+                    yield chunk
+                elif selected:
+                    yield _compress(chunk, selected)
+
+    def label(self) -> str:
+        if self.predicate is None:
+            return "v-product"
+        fallback = " (interpreted)" if self.kernel is None else ""
+        return f"v-nested-loop-join{fallback}"
+
+
 class VDistinctOp(VectorOp):
     """Duplicate elimination: hash the support, emit each row once."""
 
@@ -775,12 +885,12 @@ class VDistinctOp(VectorOp):
     consolidated = True
 
     def __init__(
-        self, child: PhysicalOp, batch_size: int = DEFAULT_BATCH_SIZE
+        self, child: VectorOp, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> None:
         super().__init__(child.schema, batch_size)
         self.child = child
 
-    def children(self) -> Tuple[PhysicalOp, ...]:
+    def children(self) -> Tuple[VectorOp, ...]:
         return (self.child,)
 
     def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
@@ -789,7 +899,7 @@ class VDistinctOp(VectorOp):
         degree = self.schema.degree
         acct = _active_account()
         rows_in = 0
-        for batch in child_batches(self.child, env, self.batch_size):
+        for batch in child_batches(self.child, env):
             if acct is not None:
                 rows_in += sum(batch.counts)
             fresh: List[Row] = []
@@ -852,12 +962,14 @@ def _compile_group_accumulator(
         "    for _r, _c in zip(_rows, _counts):\n"
         f"{body}"
     )
-    scope: Dict[str, Any] = {}
-    code = compile(source, "<repro.engine.vector.operators>", "exec")
-    exec(code, scope)  # noqa: S102 - source is generated above, not user input
-    accumulator = scope["_acc"]
-    accumulator.__compiled_source__ = source
-    return accumulator
+    return _materialize(source, {}, "_acc")
+
+
+def _param_overrun(param_index: int, width: int) -> UnboundAttributeError:
+    return UnboundAttributeError(
+        f"aggregate parameter %{param_index + 1} is out of range for a "
+        f"{width}-attribute tuple"
+    )
 
 
 class VGroupByOp(VectorOp):
@@ -868,7 +980,7 @@ class VGroupByOp(VectorOp):
     by multiplicity.  Per-group bags stay :class:`~repro.multiset.Multiset`
     instances so every aggregate — including the partial ones that raise
     :class:`~repro.errors.EmptyAggregateError` — computes exactly as in
-    the pairs engine.  The empty-grouping form emits exactly one tuple,
+    the reference evaluator.  The empty-grouping form emits exactly one tuple,
     matching Definition 3.4.
     """
 
@@ -881,7 +993,7 @@ class VGroupByOp(VectorOp):
         aggregate: AggregateFunction,
         param_position: Optional[int],
         schema: RelationSchema,
-        child: PhysicalOp,
+        child: VectorOp,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         super().__init__(schema, batch_size)
@@ -909,7 +1021,7 @@ class VGroupByOp(VectorOp):
                 fold = "sum"
         self.fold = fold
 
-    def children(self) -> Tuple[PhysicalOp, ...]:
+    def children(self) -> Tuple[VectorOp, ...]:
         return (self.child,)
 
     def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
@@ -929,33 +1041,40 @@ class VGroupByOp(VectorOp):
         else:
             accumulate = _compile_group_accumulator(positions, param_index, fold)
         accumulator = groups if fold == "bag" else totals
-        for batch in child_batches(self.child, env, self.batch_size):
+        for batch in child_batches(self.child, env):
             if param_index is not None and param_index >= batch.width:
-                raise UnboundAttributeError(
-                    f"aggregate parameter %{param_index + 1} is out of "
-                    f"range for a {batch.width}-attribute tuple"
-                )
-            if accumulate is None:
-                # Empty grouping: one bag for the single () group.
-                bag = groups[()]
-                if param_index is not None:
-                    values: Sequence[Any] = (
-                        batch.columns[param_index]
-                        if batch.has_columns
-                        else map(itemgetter(param_index), batch.rows())
-                    )
+                raise _param_overrun(param_index, batch.width)
+            try:
+                if accumulate is None:
+                    # Empty grouping: one bag for the single () group.
+                    bag = groups[()]
+                    if param_index is not None:
+                        values: Sequence[Any] = (
+                            batch.columns[param_index]
+                            if batch.has_columns
+                            else map(itemgetter(param_index), batch.rows())
+                        )
+                    else:
+                        values = batch.rows()
+                    for value, count in zip(values, batch.counts):
+                        bag[value] += count
                 else:
-                    values = batch.rows()
-                for value, count in zip(values, batch.counts):
-                    bag[value] += count
-            else:
-                accumulate(batch.rows(), batch.counts, accumulator)
+                    accumulate(batch.rows(), batch.counts, accumulator)
+            except IndexError:
+                # A row narrower than its schema promises.
+                width = min(map(len, batch.rows()))
+                if param_index is not None and param_index >= width:
+                    raise _param_overrun(param_index, width) from None
+                raise UnboundAttributeError(
+                    f"a grouping attribute is out of range for a "
+                    f"{width}-attribute tuple"
+                ) from None
         compute = self.aggregate.compute
         if not positions:
             counts = dict(groups[()]) if groups else {}
             # One output row even on empty input (partial aggregates
-            # raise EmptyAggregateError from compute, as the pairs
-            # engine does).
+            # raise EmptyAggregateError from compute, as the reference
+            # evaluator does).
             yield ColumnBatch.from_rows(
                 [(compute(Multiset._from_counts(counts)),)], [1], 1
             )
@@ -982,25 +1101,36 @@ class VGroupByOp(VectorOp):
         return f"v-hash-groupby [({attrs}), {self.aggregate.name}]"
 
 
-def collect_batches(op: PhysicalOp, env: Dict[str, Relation]) -> Relation:
-    """Execute a (vector) plan and materialise the result relation.
+class VExtensionOp(VectorOp):
+    """Self-evaluating extension nodes (e.g. transitive closure).
 
-    The vector analogue of :func:`repro.engine.iterators.collect`:
-    consolidated streams adopt their rows with a C-speed ``dict`` build;
-    everything else totals multiplicities per row.  Non-vector roots
-    (profiler wrappers, exchange operators) fall back to the pair-stream
-    collect.
+    The node's :meth:`reference_evaluate` computes its relation, which
+    then streams into the surrounding plan in batches, like a literal.
     """
-    if not isinstance(op, VectorOp):
-        from repro.engine.iterators import collect
 
-        return collect(op, env)
-    acct = _active_account()
-    batches = op.batches(env)
-    if acct is not None:
-        # The root's batches don't pass through child_batches; count them
-        # here so the vectorized tally covers the whole plan.
-        batches = _counted_batches(batches, acct, True)
+    __slots__ = ("expr",)
+    consolidated = True  # batches an evaluated relation
+
+    def __init__(self, expr: Any, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
+        super().__init__(expr.schema, batch_size)
+        self.expr = expr
+
+    def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
+        from repro.engine.evaluator import evaluate
+
+        return _relation_batches(evaluate(self.expr, env), self.batch_size)
+
+    def label(self) -> str:
+        return f"v-extension [{self.expr.operator_name()}]"
+
+
+def collect_batches(op: VectorOp, env: Dict[str, Relation]) -> Relation:
+    """Execute a plan and materialise the result relation.
+
+    Consolidated streams adopt their rows with a C-speed ``dict`` build;
+    everything else totals multiplicities per row.
+    """
+    batches = child_batches(op, env)
     if op.consolidated:
         counts: Dict[Row, int] = {}
         for batch in batches:

@@ -1,23 +1,28 @@
-"""Translation of logical algebra expressions into vectorized plans.
+"""Translation of logical algebra expressions into physical plans.
 
-Mirrors :mod:`repro.engine.planner` rule for rule — equi-join detection
-(with residual conjuncts) and the Theorem 3.1 fusion of a selection over
-a product into a join — but emits the batch operators of
-:mod:`repro.engine.vector.operators`.  Two extra vector-specific
-rewrites:
+The planner is deliberately simple and deterministic — strategy choice,
+not search (search lives in :mod:`repro.optimizer`, which rewrites the
+*logical* tree first).  It emits the batch operators of
+:mod:`repro.engine.vector.operators`:
 
-* **Selection fusion**: a stack of selections ``σ_a(σ_b(E))`` plans as
+* joins whose condition contains equality conjuncts relating the two
+  operands become hash joins (remaining conjuncts become a residual
+  predicate); other joins, and the cartesian product, become one
+  nested-loop operator (Theorem 3.1: × is ⋈ with no predicate);
+* a selection directly above a product is fused the same way (this is
+  Theorem 3.1's ``σ_φ(E1 × E2) = E1 ⋈_φ E2`` applied physically);
+* **selection fusion**: a stack of selections ``σ_a(σ_b(E))`` plans as
   one :class:`~repro.engine.vector.operators.VFilterOp` whose compiled
-  kernel evaluates the fused conjunction ``a and b`` in a single pass.
-* **Pair-stream fallbacks**: operators with no batch formulation
-  (cartesian product, theta joins, extension nodes) reuse the
-  pair-stream operators over vector children — the two engines
-  interoperate freely inside one plan.
+  kernel evaluates the fused conjunction ``a and b`` in a single pass;
+* **project-into-join fusion**: π over an equi-join emits projected
+  tuples straight from the compiled probe loop;
+* extension nodes (``reference_evaluate``) batch the relation the
+  reference evaluator computes for them.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.algebra import (
     AlgebraExpr,
@@ -34,28 +39,63 @@ from repro.algebra import (
     Union,
     Unique,
 )
-from repro.engine.iterators import NestedLoopJoinOp, PhysicalOp, ProductOp
-from repro.engine.planner import _ExtensionOp, extract_equi_conjuncts
 from repro.engine.vector.batch import DEFAULT_BATCH_SIZE
 from repro.engine.vector.operators import (
     VDifferenceOp,
     VDistinctOp,
+    VExtensionOp,
     VFilterOp,
     VGroupByOp,
     VHashJoinOp,
     VIntersectOp,
     VLiteralOp,
     VMapOp,
+    VNestedLoopJoinOp,
     VProjectOp,
     VScanOp,
     VUnionOp,
+    VectorOp,
 )
 from repro.errors import EvaluationError
-from repro.expressions import ScalarExpr, conjoin
-from repro.expressions.compile import compile_row
+from repro.expressions import Compare, ScalarExpr, conjoin, rebase, split_conjuncts
 from repro.schema import RelationSchema
 
-__all__ = ["plan_vector"]
+__all__ = ["plan_vector", "extract_equi_conjuncts"]
+
+
+def extract_equi_conjuncts(
+    condition: ScalarExpr,
+    combined: RelationSchema,
+    left_degree: int,
+) -> Tuple[List[Tuple[ScalarExpr, ScalarExpr]], List[ScalarExpr]]:
+    """Split a join condition into equi-key pairs and residual conjuncts.
+
+    Returns ``(pairs, residual)`` where each pair ``(lk, rk)`` is a
+    scalar expression over the *left* / *right* operand schema such that
+    the conjunct was ``lk = rk`` over the combined schema.  Conjuncts
+    that do not have that shape stay in ``residual`` (expressed over the
+    combined schema).
+    """
+    pairs: List[Tuple[ScalarExpr, ScalarExpr]] = []
+    residual: List[ScalarExpr] = []
+    right_first = left_degree + 1
+    right_last = combined.degree
+    for conjunct in split_conjuncts(condition):
+        if isinstance(conjunct, Compare) and conjunct.op == "=":
+            left_on_left = rebase(conjunct.left, combined, 1, left_degree)
+            right_on_right = rebase(conjunct.right, combined, right_first, right_last)
+            if left_on_left is not None and right_on_right is not None:
+                pairs.append((left_on_left, right_on_right))
+                continue
+            # The symmetric orientation: right side of '=' touches the
+            # left operand and vice versa.
+            left_on_right = rebase(conjunct.left, combined, right_first, right_last)
+            right_on_left = rebase(conjunct.right, combined, 1, left_degree)
+            if left_on_right is not None and right_on_left is not None:
+                pairs.append((right_on_left, left_on_right))
+                continue
+        residual.append(conjunct)
+    return pairs, residual
 
 
 def _plan_join(
@@ -64,7 +104,7 @@ def _plan_join(
     condition: ScalarExpr,
     schema: RelationSchema,
     batch_size: int,
-) -> PhysicalOp:
+) -> VectorOp:
     combined = left.schema.concat(right.schema)
     pairs, residual = extract_equi_conjuncts(condition, combined, left.schema.degree)
     left_plan = plan_vector(left, batch_size)
@@ -80,17 +120,13 @@ def _plan_join(
             combined,
             batch_size,
         )
-    # Theta join: the nested-loop pairs operator, but with a compiled
-    # predicate and vector children feeding it through the adapter.
-    return NestedLoopJoinOp(
-        left_plan, right_plan, compile_row(condition, combined), schema
-    )
+    return VNestedLoopJoinOp(left_plan, right_plan, condition, schema, batch_size)
 
 
 def plan_vector(
     expr: AlgebraExpr, batch_size: int = DEFAULT_BATCH_SIZE
-) -> PhysicalOp:
-    """Translate a logical expression into a vectorized physical plan."""
+) -> VectorOp:
+    """Translate a logical expression into a physical plan."""
     if isinstance(expr, RelationRef):
         return VScanOp(expr.name, expr.schema, batch_size)
     if isinstance(expr, LiteralRelation):
@@ -140,14 +176,14 @@ def plan_vector(
                 batch_size,
             )
         child = plan_vector(operand, batch_size)
-        return VFilterOp(condition, child, repr(condition), batch_size)
+        return VFilterOp(condition, child, batch_size)
     if isinstance(expr, Product):
-        # No batch formulation — the pairs product streams over the
-        # vector children through the adapter.
-        return ProductOp(
+        return VNestedLoopJoinOp(
             plan_vector(expr.left, batch_size),
             plan_vector(expr.right, batch_size),
+            None,
             expr.schema,
+            batch_size,
         )
     if isinstance(expr, Project):
         operand = expr.operand
@@ -200,5 +236,5 @@ def plan_vector(
             batch_size,
         )
     if hasattr(expr, "reference_evaluate"):
-        return _ExtensionOp(expr)
-    raise EvaluationError(f"no vector plan rule for {type(expr).__name__}")
+        return VExtensionOp(expr, batch_size)
+    raise EvaluationError(f"no physical plan rule for {type(expr).__name__}")

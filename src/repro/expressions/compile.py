@@ -29,6 +29,12 @@ keeps whichever representation it was built from, so operators pick the
 kernel matching the cached layout and never force a transpose just to
 evaluate an expression.
 
+Constants are never spliced into the source: the lowerer binds each one
+to a name in the kernel's namespace.  The generated source therefore
+depends only on the expression's *shape*, and :func:`_materialize`
+memoises the compiled code object by source — a query re-planned with
+new literals compiles nothing (``_compile_source.cache_info()``).
+
 What cannot be lowered — and why the fallback is exact
 ------------------------------------------------------
 
@@ -47,8 +53,9 @@ out-of-range attribute access is re-routed to
 
 from __future__ import annotations
 
-import math
+import functools
 from operator import itemgetter
+from types import CodeType
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.domains import MONEY
@@ -121,9 +128,6 @@ _BASE_NAMESPACE: Dict[str, Any] = {
 
 _COMPARE_SYMBOLS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
-#: Python literal types whose ``repr`` round-trips exactly.
-_LITERAL_TYPES = (bool, int, float, str)
-
 
 class _Lowerer:
     """Walk one expression, emitting a Python source fragment.
@@ -151,12 +155,7 @@ class _Lowerer:
 
     def lower(self, expr: ScalarExpr) -> str:
         if isinstance(expr, Const):
-            value = expr.value
-            if type(value) in _LITERAL_TYPES:
-                if type(value) is float and not math.isfinite(value):
-                    return self.constant(value)
-                return f"({value!r})"
-            return self.constant(value)
+            return self.constant(expr.value)
         if isinstance(expr, AttrRef):
             index = self.schema.resolve(expr.ref) - 1
             self.refs.add(index)
@@ -213,12 +212,29 @@ def try_lower(
     return Lowered(source, frozenset(lowerer.refs), lowerer.namespace)
 
 
+#: Distinct generated sources kept compiled.  Constants live in the
+#: namespace, not the source, so a query shape compiles once however
+#: its literals vary: 200 analytic_cold-style queries with fresh
+#: literals produce 4 distinct sources.
+KERNEL_CACHE_SIZE = 512
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _compile_source(source: str) -> CodeType:
+    """The code object for a generated source (memoised by source)."""
+    return compile(source, "<repro.expressions.compile>", "exec")
+
+
 def _materialize(source: str, namespace: Dict[str, Any], name: str) -> Callable:
-    """Compile generated source and pull out the defined function."""
+    """Run generated source's (memoised) code and pull out the function.
+
+    The one place generated kernels are compiled: the expression
+    kernels here and the join probe / group-by accumulator loops of
+    :mod:`repro.engine.vector.operators` all come through it.
+    """
     scope: Dict[str, Any] = dict(_BASE_NAMESPACE)
     scope.update(namespace)
-    code = compile(source, "<repro.expressions.compile>", "exec")
-    exec(code, scope)  # noqa: S102 - source is generated above, not user input
+    exec(_compile_source(source), scope)  # noqa: S102 - generated source, not user input
     fn = scope[name]
     fn.__compiled_source__ = source
     return fn
@@ -348,10 +364,9 @@ def compile_key_kernel(
 ) -> Optional[Callable[[Sequence[List[Any]], int], Sequence[Any]]]:
     """A batch key extractor ``(columns, n) -> key per row``.
 
-    Mirrors the pairs engine's key convention: a single expression
-    yields bare values, several yield tuples.  Plain attribute
-    references take zero-copy shortcuts (the column itself, or a
-    C-speed ``zip`` of key columns).  Returns ``None`` when any key
+    Key convention: a single expression yields bare values, several
+    yield tuples.  Plain attribute references take zero-copy shortcuts
+    (the column itself, or a C-speed ``zip`` of key columns).  Returns ``None`` when any key
     expression fails to lower.
     """
     if all(isinstance(expr, AttrRef) for expr in expressions):

@@ -41,9 +41,13 @@ class ExecutionContext:
         optimizer: Optional[Callable[[AlgebraExpr], AlgebraExpr]] = None,
         cache: Optional[object] = None,
         database: Optional[object] = None,
-        engine: str = "pairs",
+        engine: str = "vector",
         account: Optional[object] = None,
     ) -> None:
+        # ``engine`` is kept for ``benchmarks/e2e/``, which passes
+        # "vector"; there is only one physical engine.
+        if engine != "vector":
+            raise ValueError(f"engine must be 'vector', not {engine!r}")
         #: Working copies of the base relations.
         self.relations: Dict[str, Relation] = dict(relations)
         #: The base relations as pinned, for :meth:`deltas`.
@@ -65,9 +69,6 @@ class ExecutionContext:
         self.pinned_time = database.logical_time if database is not None else 0
         #: Relations read: named by an evaluated expression, or a delete/update target.
         self.reads: Set[str] = set()
-        #: Physical operator family: ``"pairs"`` or ``"vector"``
-        #: (ignored by the reference evaluator).
-        self._engine = engine
         #: Optional :class:`~repro.obs.telemetry.ResourceAccount` metering
         #: this context's evaluations (the server attaches one per
         #: request).  Mutable: a pinned transaction context outlives a
@@ -128,11 +129,6 @@ class ExecutionContext:
     def optimizer(self) -> Optional[Callable[[AlgebraExpr], AlgebraExpr]]:
         return self._optimizer
 
-    @property
-    def engine(self) -> str:
-        """The physical operator family (``"pairs"`` or ``"vector"``)."""
-        return self._engine
-
     # -- expression evaluation --------------------------------------------------
 
     def evaluate(self, expr: AlgebraExpr) -> Relation:
@@ -162,7 +158,7 @@ class ExecutionContext:
             expr = self._optimizer(expr)
         env = self.environment()
         if self._use_physical_engine:
-            return execute(expr, env, engine=self._engine)
+            return execute(expr, env)
         return evaluate(expr, env)
 
     def statistics(self) -> StatisticsCatalog:

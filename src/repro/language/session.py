@@ -73,15 +73,9 @@ class Session:
         cache: Optional[object] = None,
         analyze: bool = False,
         lint: Optional[object] = None,
-        engine: str = "pairs",
     ) -> None:
         self.database = database
         self.use_physical_engine = use_physical_engine
-        #: Physical operator family: ``"pairs"`` or ``"vector"``; see
-        #: :meth:`set_engine`.
-        self._engine = "pairs"
-        if engine != "pairs":
-            self.set_engine(engine)
         self.constraints: List[object] = list(constraints)
         self._optimizer: Optional[Callable[[AlgebraExpr], AlgebraExpr]] = (
             optimize if use_optimizer else None
@@ -113,34 +107,6 @@ class Session:
                 self.query_log = QueryLog(slow_threshold=slow_query_threshold)
             else:
                 self.query_log.slow_threshold = slow_query_threshold
-
-    # -- engine selection ----------------------------------------------------
-
-    @property
-    def engine(self) -> str:
-        """The physical operator family: ``"pairs"`` or ``"vector"``."""
-        return self._engine
-
-    def set_engine(self, engine: str) -> str:
-        """Select the physical operator family for this session.
-
-        ``"pairs"`` streams ``(row, count)`` pairs through the iterator
-        operators; ``"vector"`` runs the columnar batch operators with
-        compiled expression kernels (:mod:`repro.engine.vector`).  The
-        vector engine is a physical-engine feature, so a
-        reference-evaluator session cannot select it.
-        """
-        if engine not in ("pairs", "vector"):
-            raise ValueError(
-                f"engine must be 'pairs' or 'vector', not {engine!r}"
-            )
-        if engine == "vector" and not self.use_physical_engine:
-            raise ValueError(
-                "the vector engine requires the physical engine "
-                "(use_physical_engine=True)"
-            )
-        self._engine = engine
-        return self._engine
 
     # -- caching ------------------------------------------------------------
 
@@ -318,7 +284,6 @@ class Session:
             use_optimizer=self._optimizer is not None,
             record=record,
             cache=self._cache,
-            engine=self._engine,
         )
         self.last_analyze = report
         return report
@@ -373,7 +338,6 @@ class Session:
                 optimizer=self._exec_optimizer(),
                 cache=self._cache,
                 database=self.database,
-                engine=self._engine,
             )
             return context.evaluate(expr)
         started = time.perf_counter()
@@ -389,7 +353,6 @@ class Session:
                 optimizer=self._exec_optimizer(),
                 cache=self._cache,
                 database=self.database,
-                engine=self._engine,
             )
             result = context.evaluate(expr)
             if span.recording:
@@ -440,7 +403,6 @@ class Session:
             optimizer=self._exec_optimizer(),
             constraints=self.constraints,
             cache=self._cache,
-            engine=self._engine,
         )
         if log is not None:
             text = "; ".join(repr(statement) for statement in statements)
@@ -490,7 +452,6 @@ class ActiveTransaction:
             optimizer=session._exec_optimizer(),
             cache=session._cache,
             database=session.database,
-            engine=session._engine,
         )
         self._finished = False
 

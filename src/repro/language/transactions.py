@@ -110,7 +110,6 @@ class Transaction:
         constraints: Sequence["object"] = (),
         record_intermediate_states: bool = False,
         cache: Optional[object] = None,
-        engine: str = "pairs",
     ) -> TransactionResult:
         """Execute against ``database`` with full atomicity.
 
@@ -139,7 +138,6 @@ class Transaction:
             optimizer=optimizer,
             cache=cache,
             database=database,
-            engine=engine,
         )
         intermediate_states: List[IntermediateState] = []
         if record_intermediate_states:

@@ -320,8 +320,7 @@ def _child_pairs(expr: Any, op: Any) -> List[Any]:
     """Pair a logical node's children with a physical node's children.
 
     Mirrors the planner's translation cases (including the σ(E1 × E2)
-    join fusion).  On a structural
-    mismatch it returns no pairs — the physical subtree below simply
+    join fusion).  On a structural mismatch it returns no pairs — the physical subtree below simply
     goes unannotated (``est=?``) rather than guessing wrong.
     """
     from repro.algebra import (
@@ -336,19 +335,6 @@ def _child_pairs(expr: Any, op: Any) -> List[Any]:
         Union,
         Unique,
     )
-    from repro.engine.iterators import (
-        DifferenceOp,
-        DistinctOp,
-        FilterOp,
-        GroupByOp,
-        HashJoinOp,
-        IntersectOp,
-        MapOp,
-        NestedLoopJoinOp,
-        ProductOp,
-        ProjectOp,
-        UnionOp,
-    )
     from repro.engine.vector.operators import (
         VDifferenceOp,
         VDistinctOp,
@@ -357,25 +343,29 @@ def _child_pairs(expr: Any, op: Any) -> List[Any]:
         VHashJoinOp,
         VIntersectOp,
         VMapOp,
+        VNestedLoopJoinOp,
         VProjectOp,
         VUnionOp,
     )
 
     def join_operands(node: Any) -> Optional[Any]:
+        # ⋈, ×, or a σ stack over × (fused into the join it feeds).
         if isinstance(node, Join):
             return node.left, node.right
-        if isinstance(node, Select) and isinstance(node.operand, Product):
-            return node.operand.left, node.operand.right
+        while isinstance(node, Select):
+            node = node.operand
+        if isinstance(node, Product):
+            return node.left, node.right
         return None
 
-    if isinstance(op, (HashJoinOp, NestedLoopJoinOp, VHashJoinOp)):
-        # Project-into-join fusion: the vector planner folds π(⋈) into
-        # one probe loop, so the physical join answers for the Project.
-        if isinstance(op, VHashJoinOp) and isinstance(expr, Project):
-            inner = expr.operand
-            if isinstance(inner, Join):
-                return [(inner.left, op.left), (inner.right, op.right)]
-            return []
+    if isinstance(op, VHashJoinOp) and isinstance(expr, Project):
+        # Project-into-join fusion: the planner folds π(⋈) into one
+        # probe loop, so the physical join answers for the Project.
+        inner = expr.operand
+        if isinstance(inner, Join):
+            return [(inner.left, op.left), (inner.right, op.right)]
+        return []
+    if isinstance(op, (VHashJoinOp, VNestedLoopJoinOp)):
         operands = join_operands(expr)
         if operands is None:
             return []
@@ -387,23 +377,19 @@ def _child_pairs(expr: Any, op: Any) -> List[Any]:
         while isinstance(node, Select):
             node = node.operand
         return [(node, op.child)]
-    if isinstance(op, FilterOp) and isinstance(expr, Select):
+    if isinstance(op, VProjectOp) and isinstance(expr, Project):
         return [(expr.operand, op.child)]
-    if isinstance(op, (ProjectOp, VProjectOp)) and isinstance(expr, Project):
+    if isinstance(op, VMapOp) and isinstance(expr, ExtendedProject):
         return [(expr.operand, op.child)]
-    if isinstance(op, (MapOp, VMapOp)) and isinstance(expr, ExtendedProject):
+    if isinstance(op, VDistinctOp) and isinstance(expr, Unique):
         return [(expr.operand, op.child)]
-    if isinstance(op, (DistinctOp, VDistinctOp)) and isinstance(expr, Unique):
+    if isinstance(op, VGroupByOp) and isinstance(expr, GroupBy):
         return [(expr.operand, op.child)]
-    if isinstance(op, (GroupByOp, VGroupByOp)) and isinstance(expr, GroupBy):
-        return [(expr.operand, op.child)]
-    if isinstance(op, (UnionOp, VUnionOp)) and isinstance(expr, Union):
+    if isinstance(op, VUnionOp) and isinstance(expr, Union):
         return [(expr.left, op.left), (expr.right, op.right)]
-    if isinstance(op, (DifferenceOp, VDifferenceOp)) and isinstance(expr, Difference):
+    if isinstance(op, VDifferenceOp) and isinstance(expr, Difference):
         return [(expr.left, op.left), (expr.right, op.right)]
-    if isinstance(op, (IntersectOp, VIntersectOp)) and isinstance(expr, Intersect):
-        return [(expr.left, op.left), (expr.right, op.right)]
-    if isinstance(op, ProductOp) and isinstance(expr, Product):
+    if isinstance(op, VIntersectOp) and isinstance(expr, Intersect):
         return [(expr.left, op.left), (expr.right, op.right)]
     return []
 
@@ -420,8 +406,8 @@ def annotate_estimates(
     analyze baggage, so the non-analyze path stays byte-identical.
     """
     from repro.cache.fingerprint import fingerprint
-    from repro.engine.iterators import ScanOp
     from repro.engine.statistics import estimate_cardinality
+    from repro.engine.vector.operators import VScanOp
 
     annotations: Dict[int, Dict[str, Any]] = {}
 
@@ -430,7 +416,7 @@ def annotate_estimates(
             "est": estimate_cardinality(expr, catalog),
             "fingerprint": fingerprint(expr),
         }
-        if isinstance(op, ScanOp):
+        if isinstance(op, VScanOp):
             info["relation"] = op.name
         annotations[id(op)] = info
         for child_expr, child_op in _child_pairs(expr, op):
@@ -461,7 +447,6 @@ def analyze(
     threshold: float = MISESTIMATE_THRESHOLD,
     record: bool = False,
     cache: Optional[Any] = None,
-    engine: str = "pairs",
 ) -> AnalyzeReport:
     """Run ``expr`` instrumented and return the annotated report.
 
@@ -475,10 +460,8 @@ def analyze(
     it immediately.  ``cache`` (a :class:`repro.cache.QueryCache`)
     contributes hit/miss provenance to the report; the analyzed
     execution itself never serves from the cache — actuals require an
-    actual run.  ``engine`` selects the physical operator family
-    (``"pairs"`` or ``"vector"``); either way the instrumented plan is
-    profiled through the pair-stream wrappers, so the per-operator
-    numbers are comparable across engines.
+    actual run.  The profiler wraps each operator's ``batches()``, so
+    the analyzed plan runs the same code path as a served query.
 
     ``analyze.runs`` / ``analyze.operators`` / ``analyze.seconds`` and
     ``plan.misestimate{op=...}`` accumulate in the metrics registry on
@@ -487,9 +470,8 @@ def analyze(
     """
     from repro import obs
     from repro.algebra import render
-    from repro.engine.iterators import collect
-    from repro.engine.planner import plan_physical
     from repro.engine.profiler import profile_plan
+    from repro.engine.vector import collect_batches, plan_vector
     from repro.engine.statistics import StatisticsCatalog
     from repro.optimizer import optimize
 
@@ -500,11 +482,11 @@ def analyze(
         optimized = (
             optimize(expr, catalog, rewrite_trace) if use_optimizer else expr
         )
-        physical = plan_physical(optimized, engine=engine)
+        physical = plan_vector(optimized)
         annotations = annotate_estimates(optimized, physical, catalog)
         instrumented, profiles = profile_plan(physical)
         started = time.perf_counter()
-        result = collect(instrumented, env)
+        result = collect_batches(instrumented, env)
         seconds = time.perf_counter() - started
 
     operators: List[OperatorStats] = []

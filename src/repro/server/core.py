@@ -99,10 +99,9 @@ class ServerConfig:
         telemetry: Optional[int] = None,
         telemetry_host: str = "127.0.0.1",
     ) -> None:
-        if engine not in ("reference", "pairs", "vector"):
+        if engine not in ("reference", "vector"):
             raise ValueError(
-                f"engine must be 'reference', 'pairs', or 'vector', "
-                f"not {engine!r}"
+                f"engine must be 'reference' or 'vector', not {engine!r}"
             )
         if lint not in (None, "warn", "strict"):
             raise ValueError(
@@ -125,7 +124,7 @@ class ServerConfig:
         self.query_timeout = query_timeout
         #: Seconds shutdown waits for in-flight requests.
         self.drain_timeout = drain_timeout
-        #: ``"reference"`` evaluator, or physical ``"pairs"``/``"vector"``.
+        #: ``"reference"`` evaluator or the physical ``"vector"`` engine.
         self.engine = engine
         #: Run the algebraic optimizer before evaluation.
         self.optimize = optimize
@@ -653,9 +652,6 @@ class QueryServer:
             optimizer=optimize if self.config.optimize else None,
             cache=self.cache,
             database=self.database,
-            engine=self.config.engine
-            if self.config.engine != "reference"
-            else "pairs",
             account=account,
         )
 

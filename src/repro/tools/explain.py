@@ -26,7 +26,7 @@ from repro.engine import (
     StatisticsCatalog,
     estimate_cardinality,
     estimate_cost,
-    plan,
+    plan_physical,
 )
 from repro.obs.analyze import AnalyzeReport, analyze
 from repro.optimizer import RewriteTrace, optimize
@@ -49,7 +49,7 @@ class ExplainReport:
         self.optimized = optimized
         self.trace = trace
         self.catalog = catalog
-        self.physical = plan(optimized)
+        self.physical = plan_physical(optimized)
 
     @property
     def rules_fired(self) -> List[str]:

@@ -78,15 +78,9 @@ class XRAInterpreter:
         use_optimizer: bool = True,
         constraints: Sequence[object] = (),
         cache: Optional[object] = None,
-        engine: str = "pairs",
     ) -> None:
         self.database = database
         self.use_physical_engine = use_physical_engine
-        #: Physical operator family: ``"pairs"`` or ``"vector"``; see
-        #: :meth:`set_engine`.
-        self.engine = "pairs"
-        if engine != "pairs":
-            self.set_engine(engine)
         self.constraints = list(constraints)
         self._optimizer: Optional[Callable[[AlgebraExpr], AlgebraExpr]] = (
             optimize if use_optimizer else None
@@ -106,25 +100,6 @@ class XRAInterpreter:
     def set_cache(self, cache: Optional[object]) -> None:
         """Attach or remove the interpreter's query cache."""
         self.cache = cache
-
-    def set_engine(self, engine: str) -> str:
-        """Select the physical operator family for script execution.
-
-        Same contract as :meth:`repro.language.Session.set_engine`:
-        ``"pairs"`` or ``"vector"``; the vector engine requires the
-        physical engine.
-        """
-        if engine not in ("pairs", "vector"):
-            raise ValueError(
-                f"engine must be 'pairs' or 'vector', not {engine!r}"
-            )
-        if engine == "vector" and not self.use_physical_engine:
-            raise ValueError(
-                "the vector engine requires the physical engine "
-                "(use_physical_engine=True)"
-            )
-        self.engine = engine
-        return self.engine
 
     def set_lint(self, mode: Optional[object]) -> Optional[str]:
         """Set the interpreter's lint mode.
@@ -230,7 +205,6 @@ class XRAInterpreter:
                 use_optimizer=self._optimizer is not None,
                 record=True,
                 cache=self.cache,
-                engine=self.engine,
             )
             result.analyze_reports.append(report)
             result.outputs.append(report.result)
@@ -251,7 +225,6 @@ class XRAInterpreter:
             optimizer=self._optimizer,
             constraints=self.constraints,
             cache=self.cache,
-            engine=self.engine,
         )
         result.transactions.append(outcome)
         result.outputs.extend(outcome.outputs)

@@ -68,7 +68,7 @@ class TestAnalyzePipeline:
         env, refs = chain(2, [30, 10], [5, 4, 4], seed=2)
         expr = Select("%2 = %3", Product(refs[0], refs[1]))
         report = analyze(expr, env)  # default: exact stats from env
-        scans = [op for op in report.operators if op.op_class == "scan"]
+        scans = [op for op in report.operators if op.op_class == "v-scan"]
         assert scans
         for scan in scans:
             assert scan.est_rows == scan.rows
@@ -88,13 +88,13 @@ class TestAnalyzePipeline:
         env, refs = chain(2, [30, 10], [5, 4, 4], seed=4)
         expr = Select("%2 = %3", Product(refs[0], refs[1]))
         report = analyze(expr, env)
-        scans = [op for op in report.operators if op.op_class == "scan"]
+        scans = [op for op in report.operators if op.op_class == "v-scan"]
         assert all(not op.flagged() for op in scans)
 
     def test_consolidation_counted_on_distinct(self):
         env, refs = chain(1, [40], [3, 3], seed=5)
         report = analyze(Unique(refs[0]), env)
-        distinct = [op for op in report.operators if op.op_class == "distinct"]
+        distinct = [op for op in report.operators if op.op_class == "v-distinct"]
         assert len(distinct) == 1
         op = distinct[0]
         assert op.rows_in == 40
@@ -176,6 +176,22 @@ class TestFeedback:
 
         normalized = optimize(expr, catalog)
         assert estimate_cardinality(normalized, catalog) == report.result_rows
+
+    def test_vector_scan_annotation_names_its_relation(self):
+        # The scan annotation is what record_actuals learns base
+        # cardinalities from; it must name the relation on the plans
+        # the engine actually runs.
+        from repro.engine.vector import plan_vector
+        from repro.obs.analyze import annotate_estimates
+
+        env, refs = chain(1, [30], [5, 4], seed=17)
+        expr = Select("%1 > 1", refs[0])
+        physical = plan_vector(expr)
+        annotations = annotate_estimates(
+            expr, physical, StatisticsCatalog.from_env(env)
+        )
+        assert annotations[id(physical.child)]["relation"] == "r1"
+        assert "relation" not in annotations[id(physical)]
 
     def test_observed_cardinality_is_cheap_when_empty(self):
         catalog = StatisticsCatalog()
@@ -350,17 +366,17 @@ class TestCliAnalyze:
 
 class TestZeroOverheadWhenOff:
     def test_physical_ops_carry_no_analyze_state(self):
-        from repro.engine.iterators import PhysicalOp
+        from repro.engine.vector import VectorOp
 
-        assert PhysicalOp.__slots__ == ("schema",)
+        assert VectorOp.__slots__ == ("schema", "batch_size")
 
     def test_profiling_only_wraps_on_request(self):
-        from repro.engine.iterators import ScanOp
-        from repro.engine.planner import plan
+        from repro.engine.planner import plan_physical
+        from repro.engine.vector import VScanOp
 
         env, refs = chain(1, [10], [3, 3], seed=15)
-        physical = plan(refs[0])
-        assert isinstance(physical, ScanOp)  # no wrappers in the plain path
+        physical = plan_physical(refs[0])
+        assert isinstance(physical, VScanOp)  # no wrappers in the plain path
 
     def test_estimates_unchanged_without_observations(self):
         env, refs = chain(2, [50, 10], [5, 4, 4], seed=16)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.domains import INTEGER, STRING
-from repro.engine import plan
+from repro.engine import plan_physical
 from repro.errors import (
     ReproError,
     UnboundAttributeError,
@@ -48,9 +48,9 @@ def test_attr_ref_overrun_is_a_repro_error() -> None:
 def test_scan_of_missing_relation() -> None:
     from repro.algebra import RelationRef
 
-    physical = plan(RelationRef("ghost", SCHEMA))
+    physical = plan_physical(RelationRef("ghost", SCHEMA))
     with pytest.raises(UnknownRelationError) as caught:
-        list(physical.execute({}))
+        list(physical.batches({}))
     assert "ghost" in str(caught.value)
 
 
@@ -72,9 +72,9 @@ def test_group_by_param_overrun_physical_engine() -> None:
     from repro.algebra import GroupBy, RelationRef
 
     expr = GroupBy((1,), "SUM", 3, RelationRef("t", SCHEMA))
-    physical = plan(expr)
+    physical = plan_physical(expr)
     with pytest.raises(UnboundAttributeError) as caught:
-        list(physical.execute({"t": short_row_relation()}))
+        list(physical.batches({"t": short_row_relation()}))
     assert "%3" in str(caught.value)
 
 
@@ -82,9 +82,9 @@ def test_global_aggregate_overrun_physical_engine() -> None:
     from repro.algebra import GroupBy, RelationRef
 
     expr = GroupBy(None, "SUM", 2, RelationRef("t", SCHEMA))
-    physical = plan(expr)
+    physical = plan_physical(expr)
     with pytest.raises(UnboundAttributeError) as caught:
-        list(physical.execute({"t": short_row_relation()}))
+        list(physical.batches({"t": short_row_relation()}))
     assert "%2" in str(caught.value)
 
 

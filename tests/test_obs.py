@@ -249,7 +249,7 @@ class TestPipelineTracing:
         [execute] = obs.tracer().find("execute")
         operators = execute.attrs["operators"]
         assert execute.attrs["rows"] == len(result)
-        assert any(op["op"] == "hash-join" for op in operators)
+        assert any(op["op"] == "v-hash-join" for op in operators)
         assert all("rows" in op and "pairs" in op for op in operators)
 
     def test_operator_and_rule_counters_nonzero(self, beer_session):

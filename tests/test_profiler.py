@@ -30,8 +30,8 @@ class TestProfiler:
         env, expr = setup
         _result, profile = execute_profiled(expr, env)
         by_label = profile.by_label()
-        assert by_label["scan beer"].rows_out == 6
-        assert by_label["scan brewery"].rows_out == 4
+        assert by_label["v-scan beer"].rows_out == 6
+        assert by_label["v-scan brewery"].rows_out == 4
 
     def test_join_fusion_visible_in_profile(self, setup):
         env, expr = setup
@@ -39,7 +39,7 @@ class TestProfiler:
         # profile should show join output far below the 24-row product.
         _result, profile = execute_profiled(expr, env)
         join_profiles = [
-            p for p in profile.profiles if p.label.startswith("hash-join")
+            p for p in profile.profiles if p.label.startswith("v-hash-join")
         ]
         assert join_profiles
         assert join_profiles[0].rows_out <= 6
@@ -52,7 +52,7 @@ class TestProfiler:
         _r2, fused_profile = execute_profiled(expr, env)
         # The raw product emits |beer|·|brewery| pairs; the fused hash
         # join only the matches — the profiler makes the saving visible.
-        product_pairs = product_profile.by_label()["product"].pairs_out
+        product_pairs = product_profile.by_label()["v-product"].pairs_out
         join_pairs = [
             p for p in fused_profile.profiles if "hash-join" in p.label
         ][0].pairs_out
@@ -125,8 +125,8 @@ class TestProfileReportErgonomics:
         env, expr = setup
         _result, profile = execute_profiled(expr, env)
         classes = {p.op_class for p in profile.profiles}
-        assert "scan" in classes
-        assert "hash-join" in classes
+        assert "v-scan" in classes
+        assert "v-hash-join" in classes
 
     def test_emit_metrics_shares_data_model(self, setup):
         from repro.obs import MetricsRegistry
@@ -134,9 +134,9 @@ class TestProfileReportErgonomics:
         env, expr = setup
         registry = MetricsRegistry()
         _result, profile = execute_profiled(expr, env, registry=registry)
-        scans = profile.by_label()["scan beer"]
+        scans = profile.by_label()["v-scan beer"]
         assert registry.total("operator.rows") == profile.total_rows()
-        assert registry.value("operator.pairs", op="hash-join") > 0
+        assert registry.value("operator.pairs", op="v-hash-join") > 0
         assert scans.rows_out > 0
 
 

@@ -58,6 +58,6 @@ class TestExplain:
     def test_physical_plan_is_runnable(self, setup):
         env, expr = setup
         report = explain(expr, env)
-        from repro.engine.iterators import collect
+        from repro.engine.vector import collect_batches
 
-        assert collect(report.physical, env) == evaluate(expr, env)
+        assert collect_batches(report.physical, env) == evaluate(expr, env)

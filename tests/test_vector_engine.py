@@ -1,29 +1,24 @@
-"""Differential matrix for the vectorized columnar engine.
+"""Per-operator matrix and wiring for the physical (vector) engine.
 
-The vector engine (:mod:`repro.engine.vector`) is a second physical
-operator family over the same algebra; nothing about it may be
-observable through results.  Three layers of evidence:
+Three layers of evidence:
 
-* **per-operator** — for every operator the planner can vectorize (and
-  the pair-stream fallbacks it interoperates with), the vector result
-  must be bag-equal to the reference evaluator and the pairs engine,
+* **per-operator** — for every translation rule the planner has, the
+  engine's result must be bag-equal to the reference evaluator,
   including with a tiny batch size that forces chunk boundaries through
   every operator;
-* **random plans** — the :mod:`repro.testing` expression fuzzer, run
-  through the vector engine raw and optimized (the same corpus
-  ``tests/test_differential.py`` pins the pairs engine with);
+* **random plans at a tiny batch size** — the one generated corpus of
+  ``tests/test_differential.py``, run with ``TINY_BATCH``;
 * **compiled vs. interpreted** — the expression compiler must agree
   with the AST interpreter on edge values: division by zero routes to
   the same :class:`~repro.errors.DivisionByZeroError`, and MONEY
   arithmetic (which the compiler refuses to lower) falls back to the
-  interpreter without changing results.
+  interpreter without changing results.  Kernels compile once per
+  query shape, whatever its literals.
 
-Plus wiring smoke: engine selection on sessions/transactions, the
-query cache, EXPLAIN ANALYZE labels, and the CLI ``.engine``
-meta-command.
+Plus wiring smoke: sessions/transactions, the query cache, EXPLAIN
+ANALYZE labels, and where the ``engine`` argument survives.
 """
 
-import io
 from decimal import Decimal
 
 import pytest
@@ -53,20 +48,14 @@ from repro.engine.vector import (
     collect_batches,
     plan_vector,
 )
-from repro.errors import DivisionByZeroError, EmptyAggregateError
+from repro.errors import DivisionByZeroError
 from repro.expressions import Neg, col, lit
-from repro.expressions.compile import compile_row
+from repro.expressions.compile import _compile_source, compile_row
 from repro.language import Session
-from repro.optimizer import optimize
 from repro.relation import Relation
 from repro.schema import RelationSchema
-from repro.testing import ExpressionGenerator, random_environment
-
-SEEDS = list(range(40))
-
-#: A batch size small enough that every 50-row table spans several
-#: batches — chunk-boundary bugs cannot hide behind "fits in one batch".
-TINY_BATCH = 7
+from repro.testing import random_environment
+from tests.test_differential import SEEDS, TINY_BATCH, assert_corpus_agrees
 
 
 @pytest.fixture(scope="module")
@@ -119,32 +108,14 @@ OPERATOR_CASE_NAMES = sorted(
 def test_operator_agrees_with_both_engines(env, name):
     expr = _operator_cases(env)[name]
     reference = evaluate(expr, env)
-    assert execute(expr, env) == reference, f"pairs != reference for {name}"
-    assert execute(expr, env, engine="vector") == reference, (
-        f"vector != reference for {name}"
-    )
+    assert execute(expr, env) == reference, f"physical != reference for {name}"
     chunked = collect_batches(plan_vector(expr, batch_size=TINY_BATCH), env)
     assert chunked == reference, f"tiny batches diverge for {name}"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_plans_agree(env, seed):
-    generator = ExpressionGenerator(env, seed=seed, max_depth=5)
-    expr = generator.expression()
-    try:
-        reference = evaluate(expr, env)
-    except EmptyAggregateError:
-        # Partial aggregates on an empty bag are defined behaviour
-        # (Definition 3.3); the vector engine must refuse alike.
-        with pytest.raises(EmptyAggregateError):
-            execute(expr, env, engine="vector")
-        return
-    assert execute(expr, env, engine="vector") == reference, (
-        f"vector != reference for {expr!r}"
-    )
-    assert execute(optimize(expr), env, engine="vector") == reference, (
-        f"vector diverges on optimized {expr!r}"
-    )
+    assert_corpus_agrees(env, seed, TINY_BATCH)
 
 
 class TestCompiledVsInterpreted:
@@ -187,8 +158,6 @@ class TestCompiledVsInterpreted:
             evaluate(expr, env)
         with pytest.raises(DivisionByZeroError):
             execute(expr, env)
-        with pytest.raises(DivisionByZeroError):
-            execute(expr, env, engine="vector")
 
     def test_money_arithmetic_falls_back_to_interpreter(self):
         schema = RelationSchema("price", [("item", STRING), ("amount", MONEY)])
@@ -207,7 +176,7 @@ class TestCompiledVsInterpreted:
         )
         plan = plan_vector(expr)
         assert isinstance(plan, VFilterOp)
-        assert plan.kernel is None, "MONEY arithmetic must refuse to lower"
+        assert plan.row_kernel is None, "MONEY arithmetic must refuse to lower"
         assert "(interpreted)" in plan.label()
         assert collect_batches(plan, env) == evaluate(expr, env)
 
@@ -242,7 +211,7 @@ class TestPlanShapes:
 
     def test_real_sum_stays_on_bag_path(self):
         # Float addition is order-sensitive; only the bag path replays
-        # the pairs engine's accumulation order bit for bit.
+        # the reference evaluator's accumulation order bit for bit.
         schema = RelationSchema("m", [("k", INTEGER), ("x", REAL)])
         relation = Relation.from_pairs(
             schema,
@@ -256,6 +225,47 @@ class TestPlanShapes:
         reference = evaluate(expr, env)
         assert collect_batches(plan, env) == reference
         assert execute(expr, env) == reference
+
+
+def _compiled_sources(plan):
+    """Every generated source reachable from a plan's operators."""
+    sources = []
+    stack = [plan]
+    while stack:
+        op = stack.pop()
+        stack.extend(op.children())
+        for slot in dir(op):
+            source = getattr(getattr(op, slot, None), "__compiled_source__", None)
+            if source is not None:
+                sources.append(source)
+    return sources
+
+
+class TestKernelMemo:
+    """Kernels compile once per query shape, whatever its literals."""
+
+    def _shape(self, env, low, high):
+        t1 = RelationRef("t1", env["t1"].schema)
+        t2 = RelationRef("t2", env["t2"].schema)
+        join = Join(t1, t2, col(1).eq(col(3)).and_(col(2).lt(col(4) + lit(low))))
+        selected = Select(col(1).ge(lit(low)).or_(col(4).le(lit(high))), join)
+        mapped = ExtendedProject([col(1), col(2) * lit(high) / lit(low)], selected)
+        return GroupBy([1], SUM, 2, mapped)
+
+    def test_new_literals_compile_nothing_new(self, env):
+        first = self._shape(env, 424242, 31337)
+        plan_vector(first)  # the first plan of a shape may compile
+        before = _compile_source.cache_info()
+        second = self._shape(env, 515151, 27182)
+        plan = plan_vector(second)
+        after = _compile_source.cache_info()
+        assert after.misses == before.misses, "new literals recompiled a kernel"
+        assert after.hits > before.hits
+        sources = _compiled_sources(plan)
+        assert sources
+        for source in sources:
+            assert "515151" not in source and "27182" not in source
+        assert collect_batches(plan, env) == evaluate(second, env)
 
 
 class TestEngineWiring:
@@ -275,44 +285,40 @@ class TestEngineWiring:
 
     def test_session_engines_agree_and_cache_serves(self, env, database):
         expr = self._query(env)
-        pairs = Session(database, engine="pairs")
-        vector = Session(database, engine="vector", cache=True)
-        expected = pairs.query(expr)
-        assert vector.query(expr) == expected
-        assert vector.query(expr) == expected  # served from cache
-        assert vector.cache.stats.result_hits >= 1
+        reference = Session(database, use_physical_engine=False)
+        physical = Session(database, cache=True)
+        expected = reference.query(expr)
+        assert physical.query(expr) == expected
+        assert physical.query(expr) == expected  # served from cache
+        assert physical.cache.stats.result_hits >= 1
 
     def test_engine_validation(self, database):
+        from repro.language.context import ExecutionContext
+        from repro.server import ServerConfig
+
+        # The physical-engine choice is gone from sessions; where an
+        # ``engine`` argument survives, only the one engine is accepted.
+        with pytest.raises(TypeError):
+            Session(database, engine="vector")
         with pytest.raises(ValueError):
-            Session(database, engine="columnar")
+            ExecutionContext(database.snapshot(), engine="pairs")
         with pytest.raises(ValueError):
-            Session(database, use_physical_engine=False, engine="vector")
-        session = Session(database, use_physical_engine=False)
-        with pytest.raises(ValueError):
-            session.set_engine("vector")
+            ServerConfig(engine="pairs")
+        assert ServerConfig(engine="vector").engine == "vector"
 
     def test_transaction_queries_on_vector(self, env, database):
-        session = Session(database, engine="vector")
+        session = Session(database)
         expr = self._query(env)
         with session.transaction() as txn:
             inside = txn.query(expr)
         assert inside == evaluate(expr, database.snapshot())
 
     def test_explain_analyze_annotates_vector_operators(self, env, database):
-        session = Session(database, engine="vector")
+        session = Session(database)
         expr = self._query(env)
         report = session.explain_analyze(expr)
         assert report.find("v-hash-join")
         assert report.find("v-scan")
+        scans = [op for op in report.operators if op.op_class == "v-scan"]
+        assert {op.relation for op in scans} == {"t1", "t2"}
         assert report.result == evaluate(expr, database.snapshot())
-
-    def test_cli_engine_meta_command(self, database):
-        from repro.cli import Shell
-
-        out, err = io.StringIO(), io.StringIO()
-        shell = Shell(database, out=out, err=err)
-        shell.handle_meta(".engine vector")
-        shell.run(io.StringIO("? sel[%1 >= 2](t1);\n"))
-        assert "engine: vector" in out.getvalue()
-        assert "tuple(s)" in out.getvalue()
-        assert not err.getvalue()
