@@ -50,7 +50,9 @@ def _param_value(row: Row, param_position: int) -> Any:
 class Relation:
     """A multi-set of tuples over a fixed relation schema."""
 
-    __slots__ = ("_schema", "_tuples", "_lineage", "_image", "__weakref__")
+    __slots__ = (
+        "_schema", "_tuples", "_lineage", "_image", "_wire", "__weakref__"
+    )
 
     def __init__(
         self,
@@ -64,6 +66,10 @@ class Relation:
         #: a base keeps a weak link to its latest such descendant.
         self._lineage: Optional[Tuple["Relation", Delta[Row]]] = None
         self._image: Optional["weakref.ref[Relation]"] = None
+        #: The encoded wire document, kept by
+        #: :func:`repro.server.protocol.relation_wire_bytes` (the value is
+        #: immutable, so its encoding is too).
+        self._wire: Optional[bytes] = None
         if isinstance(rows, Mapping):
             if validate:
                 pairs = [
@@ -86,7 +92,7 @@ class Relation:
         relation = cls.__new__(cls)
         relation._schema = schema
         relation._tuples = tuples
-        relation._lineage = relation._image = None
+        relation._lineage = relation._image = relation._wire = None
         return relation
 
     def __reduce__(self) -> Tuple[Any, ...]:

@@ -53,6 +53,7 @@ from repro.server.protocol import (
     error_to_wire,
     relation_from_wire,
     relation_to_wire,
+    relation_wire_bytes,
 )
 from repro.server.sessions import ServerSession
 
@@ -70,6 +71,7 @@ __all__ = [
     "encode_message",
     "decode_request",
     "relation_to_wire",
+    "relation_wire_bytes",
     "relation_from_wire",
     "error_to_wire",
 ]

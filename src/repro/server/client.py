@@ -79,6 +79,16 @@ class ServerClient:
         line = self._file.readline(MAX_LINE_BYTES + 1024)
         if not line:
             raise ConnectionError("server closed the connection")
+        if not line.endswith(b"\n"):
+            # Truncated at the cap, or cut off by the server: the rest of
+            # this line is still in flight, and the next read would parse
+            # it as a reply.  The framing is lost, so is the connection.
+            self._file.close()
+            self._sock.close()
+            raise ProtocolError(
+                f"server message not newline-terminated after {len(line)} "
+                f"bytes (frame cap {MAX_LINE_BYTES} bytes); connection closed"
+            )
         try:
             message = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as error:

@@ -62,7 +62,7 @@ from repro.server.protocol import (
     encode_message,
     error_to_wire,
     hello_message,
-    relation_to_wire,
+    relation_wire_bytes,
 )
 from repro.server.sessions import ParsedScript, ServerSession
 from repro.xra.parser import (
@@ -456,7 +456,22 @@ class QueryServer:
     async def _send(
         writer: asyncio.StreamWriter, message: Dict[str, Any]
     ) -> None:
-        writer.write(encode_message(message))
+        line = encode_message(message)
+        if len(line) > MAX_LINE_BYTES:
+            # A client reads at most the cap; a longer line would leave
+            # its tail to be parsed as the next reply.  Answer without
+            # the results, keeping the rest (``committed``, time) true.
+            error = ProtocolError(
+                f"reply of {len(line)} bytes exceeds the "
+                f"{MAX_LINE_BYTES}-byte frame cap"
+            )
+            envelope = {
+                key: value for key, value in message.items() if key != "results"
+            }
+            line = encode_message(
+                {**envelope, "ok": False, "error": error_to_wire(error)}
+            )
+        writer.write(line)
         await writer.drain()
 
     # -- request dispatch --------------------------------------------------
@@ -685,10 +700,12 @@ class QueryServer:
         pinned_time = self.database.logical_time
         context = self._pin_context(account)
         outputs = await self._run_in_executor(
-            lambda: session.run_statements(parsed.statements, context)
+            lambda: _encoded(
+                session.run_statements(parsed.statements, context)
+            )
         )
         return {
-            "results": [relation_to_wire(relation) for relation in outputs],
+            "results": outputs,
             "committed": False,
             "in_transaction": False,
             "logical_time": pinned_time,
@@ -743,7 +760,7 @@ class QueryServer:
         finally:
             self._release_write_lock(hold_lock_past_return)
         return {
-            "results": [relation_to_wire(relation) for relation in outputs],
+            "results": outputs,
             "committed": True,
             "in_transaction": False,
             "logical_time": self.database.logical_time,
@@ -766,7 +783,7 @@ class QueryServer:
         txn.account = account
         try:
             outputs = await self._run_in_executor(
-                lambda: session.run_statements(parsed.statements, txn)
+                lambda: _encoded(session.run_statements(parsed.statements, txn))
             )
         except Exception:
             # Statements may have half-applied to the working state —
@@ -780,7 +797,7 @@ class QueryServer:
             if session.txn is not None:
                 txn.account = None
         return {
-            "results": [relation_to_wire(relation) for relation in outputs],
+            "results": outputs,
             "committed": False,
             "in_transaction": True,
             "logical_time": txn.pinned_time,
@@ -951,6 +968,18 @@ class QueryServer:
         self._admission.release()
         if not future.cancelled():
             future.exception()  # consume, so abandonment never warns
+
+
+def _encoded(outputs: List[Relation]) -> List[Relation]:
+    """Encode each output's wire bytes now, on the executor thread.
+
+    :func:`encode_message` then only splices the stored bytes, so a
+    cache miss's encode never runs on the event loop (and a hit, whose
+    relation already holds its bytes, encodes nothing).
+    """
+    for relation in outputs:
+        relation_wire_bytes(relation)
+    return outputs
 
 
 # -- embedding helper --------------------------------------------------------

@@ -39,11 +39,22 @@ the algebra's semantics::
 
     {"schema": {"name": "beer", "attributes": [
          {"name": "name", "domain": "string"}, ...]},
-     "pairs": [[["Pils", "Grolsch", 4.5], 2], ...]}
+     "pairs": [[["Pils", "Grolsch", 4.5], 2], ...],
+     "rows": 3, "distinct": 2}
+
+The pairs come in storage order, unordered: a relation is a function
+``dom(R) → N`` (Definition 2.2), so no order is part of its value and
+none is spent on the wire.  A relation is immutable, so its encoding is
+too: :func:`relation_wire_bytes` encodes it once and keeps the bytes on
+the :class:`~repro.relation.Relation` itself, and :func:`encode_message`
+splices those bytes into every reply that carries the relation.  A
+result-cache hit serves the same relation object, hence the same bytes,
+and the bytes are freed with the relation.
 
 Values of non-JSON domains (DATE, TIME, TIMESTAMP, MONEY) travel as
-strings; decoding routes them back through the domain's normalization,
-so a round-tripped relation is bag-equal to the original.
+strings; decoding routes them back through the domain's normalization
+(one pass per column), so a round-tripped relation is bag-equal to the
+original.
 """
 
 from __future__ import annotations
@@ -52,7 +63,8 @@ import json
 from typing import Any, Dict, List, Optional
 
 from repro.domains import DomainRegistry, default_registry
-from repro.errors import ProtocolError, ReproError, wire_code
+from repro.errors import DomainValueError, ProtocolError, ReproError, wire_code
+from repro.multiset import Multiset
 from repro.relation import Relation
 from repro.schema import RelationSchema
 
@@ -63,6 +75,7 @@ __all__ = [
     "encode_message",
     "decode_request",
     "relation_to_wire",
+    "relation_wire_bytes",
     "relation_from_wire",
     "error_to_wire",
 ]
@@ -83,11 +96,36 @@ OPS = frozenset(
 )
 
 
+def _dumps(value: Any) -> bytes:
+    return json.dumps(value, separators=(",", ":"), default=str).encode("utf-8")
+
+
 def encode_message(message: Dict[str, Any]) -> bytes:
-    """One message as a newline-terminated JSON line."""
-    return (
-        json.dumps(message, separators=(",", ":"), default=str) + "\n"
-    ).encode("utf-8")
+    """One message as a newline-terminated JSON line.
+
+    Each :class:`~repro.relation.Relation` in ``message["results"]`` is
+    spliced in as its stored :func:`relation_wire_bytes`; everything
+    else (wire documents included) is JSON-encoded here.
+    """
+    results = message.get("results")
+    if not isinstance(results, list):
+        return _dumps(message) + b"\n"
+    envelope = {key: value for key, value in message.items() if key != "results"}
+    head = _dumps(envelope)[:-1]  # the envelope object, still open
+    return b"".join(
+        (
+            head,
+            b"," if envelope else b"",
+            b'"results":[',
+            b",".join(
+                relation_wire_bytes(result)
+                if isinstance(result, Relation)
+                else _dumps(result)
+                for result in results
+            ),
+            b"]}\n",
+        )
+    )
 
 
 def decode_request(line: bytes) -> Dict[str, Any]:
@@ -133,7 +171,11 @@ def _wire_value(value: Any) -> Any:
 
 
 def relation_to_wire(relation: Relation) -> Dict[str, Any]:
-    """Encode a relation as its wire document (pair notation, sorted)."""
+    """Encode a relation as its wire document.
+
+    Pair notation in storage order, unordered: the pairs are listed as
+    :meth:`~repro.relation.Relation.pairs` yields them, with no sort.
+    """
     return {
         "schema": {
             "name": relation.schema.name,
@@ -144,13 +186,24 @@ def relation_to_wire(relation: Relation) -> Dict[str, Any]:
         },
         "pairs": [
             [[_wire_value(value) for value in row], count]
-            for row, count in sorted(
-                relation.pairs(), key=lambda pair: tuple(map(str, pair[0]))
-            )
+            for row, count in relation.pairs()
         ],
         "rows": len(relation),
         "distinct": relation.distinct_count,
     }
+
+
+def relation_wire_bytes(relation: Relation) -> bytes:
+    """The JSON encoding of :func:`relation_to_wire`'s document.
+
+    Computed on the first call and kept on the relation, so every later
+    call — every reply that carries this relation — returns the same
+    ``bytes`` object.  Safe because a relation is immutable.
+    """
+    encoded = relation._wire
+    if encoded is None:
+        encoded = relation._wire = _dumps(relation_to_wire(relation))
+    return encoded
 
 
 def relation_from_wire(
@@ -158,9 +211,13 @@ def relation_from_wire(
 ) -> Relation:
     """Decode a wire document back into a typed relation.
 
-    Values pass through the declared domain's normalization
-    (``Relation.from_pairs`` validates), so stringly-encoded dates and
-    money come back as their native types.
+    Every row's degree is checked, then each column passes once through
+    its declared domain's normalization — the checks and coercions of
+    :func:`~repro.tuples.validate_tuple`, a column at a time — so
+    stringly-encoded dates and money come back as their native types.
+    A value outside its domain raises
+    :class:`~repro.errors.DomainValueError`; any other malformation,
+    bad multiplicities included, raises :class:`ProtocolError`.
     """
     registry = registry or default_registry
     try:
@@ -170,14 +227,27 @@ def relation_from_wire(
             for column in schema_doc["attributes"]
         ]
         schema = RelationSchema(schema_doc.get("name"), attributes)
-        pairs = [(tuple(row), count) for row, count in document["pairs"]]
+        pairs = document["pairs"]
+        rows = [row for row, _count in pairs]
+        counts = [count for _row, count in pairs]
+        degree = schema.degree
+        for row in rows:
+            if len(row) != degree:
+                raise DomainValueError(schema, tuple(row))
+        # RelationSchema refuses degree 0, so zip(*rows) comes up empty
+        # only when there are no rows — no tuple is lost to it.
+        columns = [
+            list(map(attribute.domain.normalize, column))
+            for attribute, column in zip(schema.attributes, zip(*rows))
+        ]
+        bag = Multiset.from_pairs(zip(zip(*columns), counts))
     except ReproError:
         raise
     except (KeyError, TypeError, ValueError) as error:
         raise ProtocolError(
             f"malformed relation document: {error}"
         ) from None
-    return Relation.from_pairs(schema, pairs)
+    return Relation.from_multiset(schema, bag)
 
 
 def error_to_wire(error: BaseException) -> Dict[str, Any]:

@@ -19,7 +19,7 @@ import pytest
 
 from repro.database import Database
 from repro.domains import DATE, INTEGER, MONEY, STRING
-from repro.errors import ReproError
+from repro.errors import ProtocolError, ReproError
 from repro.relation import Relation
 from repro.schema import RelationSchema
 from repro.server import (
@@ -447,6 +447,56 @@ def test_constraint_violation_travels_as_repro_constraint(server) -> None:
         assert caught.value.code == "REPRO-CONSTRAINT"
         (result,) = client.xra("? acct;")
         assert len(result) == 3  # the violating write never installed
+
+
+#: A frame cap small enough that ``? big;`` (2 000 rows) overruns it.
+SMALL_CAP = 10_000
+
+
+@pytest.fixture
+def big_server():
+    database = seeded_database()
+    XRAInterpreter(database).run(
+        "create big(n: integer, tag: string);\n"
+        "insert(big, tuples["
+        + "; ".join(f"({i}, 'row-{i}')" for i in range(2000))
+        + "]);"
+    )
+    handle = serve_in_background(database, ServerConfig(query_timeout=15.0))
+    yield handle
+    handle.stop()
+
+
+def test_reply_over_the_frame_cap_is_refused_by_the_server(
+    big_server, monkeypatch
+) -> None:
+    monkeypatch.setattr("repro.server.core.MAX_LINE_BYTES", SMALL_CAP)
+    monkeypatch.setattr("repro.server.client.MAX_LINE_BYTES", SMALL_CAP)
+    with connect(big_server) as client:
+        with pytest.raises(RemoteError) as caught:
+            client.xra("? big;")
+        assert caught.value.code == "REPRO-PROTOCOL"
+        message = str(caught.value)
+        assert f"{SMALL_CAP}-byte frame cap" in message
+        size = int(message.split("reply of ")[1].split(" bytes")[0])
+        assert size > SMALL_CAP
+        # The framing survived: the connection keeps working.
+        assert client.ping() == 2
+        (small,) = client.xra("? sel[%1 < 10](big);")
+        assert len(small) == 10
+
+
+def test_truncated_reply_closes_the_client_connection(
+    big_server, monkeypatch
+) -> None:
+    # Only the client's cap shrinks, so the server sends the whole line.
+    monkeypatch.setattr("repro.server.client.MAX_LINE_BYTES", SMALL_CAP)
+    with connect(big_server) as client:
+        with pytest.raises(ProtocolError, match="not newline-terminated"):
+            client.xra("? big;")
+        # No later request may parse the unread tail as its reply.
+        with pytest.raises(OSError):
+            client.ping()
 
 
 # ---------------------------------------------------------------------------
