@@ -31,9 +31,13 @@ from repro.algebra import (
     Union,
     Unique,
 )
+from repro.engine.profiler import (
+    active_meter,
+    metered,
+    metering_wanted,
+    record_of,
+)
 from repro.errors import EvaluationError, UnknownRelationError
-from repro import obs
-from repro.obs.telemetry import account as _active_account
 from repro.relation import Relation
 
 __all__ = ["evaluate", "Environment"]
@@ -45,21 +49,26 @@ Environment = Mapping[str, Relation]
 def evaluate(expr: AlgebraExpr, env: Environment) -> Relation:
     """Evaluate ``expr`` against ``env`` with literal bag semantics.
 
-    While observability is enabled, every node contributes to the
-    ``operator.rows`` / ``operator.pairs`` counters (labelled with the
-    logical operator and ``engine=reference``) — since π and ⊎ preserve
-    bag cardinality exactly, those counters double as correctness
+    While a run is metered (:func:`repro.engine.profiler.metered`), every
+    node adds its result's bag cardinality and support size to its
+    :class:`~repro.engine.profiler.OperatorRecord` (labelled with the
+    logical operator and ``engine=reference``) — the record type the
+    physical engine writes, so both feed the ``operator.*`` metrics and
+    the resource account through one fold.  Since π and ⊎ preserve bag
+    cardinality exactly, those counts double as correctness
     cross-checks against the physical engine's numbers.
     """
-    if not obs.recording() and _active_account() is None:
-        return _evaluate_node(expr, env)
+    meter = active_meter()
+    if meter is None:
+        if not metering_wanted():
+            return _evaluate_node(expr, env)
+        with metered():
+            return evaluate(expr, env)
     result = _evaluate_node(expr, env)
-    op = type(expr).__name__
-    obs.add("operator.rows", len(result), op=op, engine="reference")
-    obs.add("operator.pairs", result.distinct_count, op=op, engine="reference")
-    acct = _active_account()
-    if acct is not None and isinstance(expr, RelationRef):
-        acct.rows_scanned += len(result)
+    record = record_of(meter, expr, type(expr).__name__, "reference")
+    record.invocations += 1
+    record.rows += len(result)
+    record.pairs += result.distinct_count
     return result
 
 
@@ -96,14 +105,7 @@ def _evaluate_node(expr: AlgebraExpr, env: Environment) -> Relation:
         ]
         return evaluate(expr.operand, env).extended_project(functions, expr.schema)
     if isinstance(expr, Unique):
-        operand = evaluate(expr.operand, env)
-        result = operand.distinct()
-        acct = _active_account()
-        if acct is not None:
-            # δ's in/out bag cardinalities — the measured duplicate factor.
-            acct.dedup_rows_in += len(operand)
-            acct.dedup_rows_out += len(result)
-        return result
+        return evaluate(expr.operand, env).distinct()
     if isinstance(expr, GroupBy):
         operand = evaluate(expr.operand, env)
         refs = list(expr.positions)

@@ -11,6 +11,12 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.algebra import AlgebraExpr
+from repro.engine.profiler import (
+    ProfileReport,
+    metered,
+    metering_wanted,
+    plan_records,
+)
 from repro.engine.vector.operators import VectorOp, collect_batches
 from repro.engine.vector.planner import extract_equi_conjuncts, plan_vector
 from repro.errors import EvaluationError
@@ -63,19 +69,21 @@ def execute(
     is then a no-op.  ``engine`` accepts only ``"vector"`` and is kept
     for ``benchmarks/e2e/``.
 
-    While observability is enabled (:mod:`repro.obs`), the plan and
-    execute stages run under trace spans and the plan is wrapped with
-    the operator profiler, so the execute span carries per-operator
-    row/pair counts and the ``operator.*`` metrics accumulate.  Disabled
-    (the default), this is the bare plan-and-collect path.
+    A served run is metered (:func:`repro.engine.profiler.metered`)
+    while :mod:`repro.obs` records metrics or a resource account is
+    active, so the ``operator.*`` metrics and the account see every
+    operator.  With a tracer on, the plan and execute stages also run
+    under trace spans and the execute span carries the per-operator
+    records.  Otherwise this is the bare plan-and-collect path.
     """
     _check_engine(engine)
     if not obs.enabled():
         if physical is None:
             physical = plan_vector(expr)
-        return collect_batches(physical, env)
-
-    from repro.engine.profiler import ProfileReport, profile_plan
+        if not metering_wanted():
+            return collect_batches(physical, env)
+        with metered():
+            return collect_batches(physical, env)
 
     with obs.span("plan") as plan_span:
         if physical is None:
@@ -84,10 +92,9 @@ def execute(
             plan_span.set(cached=True)
         plan_span.set(shape=physical.explain())
     with obs.span("execute") as execute_span:
-        instrumented, profiles = profile_plan(physical)
-        result = collect_batches(instrumented, env)
-        report = ProfileReport(profiles)
-        report.emit_metrics(obs.metrics())
+        with metered() as meter:
+            result = collect_batches(physical, env)
+        report = ProfileReport(plan_records(physical, meter))
         execute_span.set(
             operators=report.operator_records(),
             rows=len(result),

@@ -1,17 +1,20 @@
-"""Operator-level execution profiling (EXPLAIN ANALYZE-style).
+"""One counter record per operator, and the folds over one run's records.
 
-Wraps every operator of a physical plan with counters and timers, runs
-the plan, and reports per-operator rows (bag cardinality — multiplicity
-counted — and distinct stream pairs) plus inclusive and exclusive time.
-This is how the examples and benches attribute cost to individual
-operators, e.g. showing that the unpushed plan's product emits 450k
-pairs while the pushed plan's join emits a few hundred.
+Under Definition 2.2 a relation is a function ``dom(R) → N``, so what an
+operator did comes down to two numbers: the bag cardinality it emitted
+(``rows``, Σ E(x)) and its support size (``pairs``).  While a meter is
+active on the thread (:func:`metered`),
+:func:`~repro.engine.vector.operators.child_batches` — the one place a
+physical operator's stream is pulled — adds every batch it hands over to
+the operator's :class:`OperatorRecord`, and the reference evaluator adds
+each node's result the same way.  Records live in the thread-local meter
+keyed by operator identity; the operators hold no state, so a plan-cache
+plan shared by executor threads stays safe.
 
-The profiler and the observability layer (:mod:`repro.obs`) share one
-data model: :func:`profile_plan` instruments a plan, and
-:meth:`ProfileReport.emit_metrics` folds the per-operator counts into a
-metrics registry — so EXPLAIN ANALYZE output and the session-wide
-``operator.*`` counters are two views of the same numbers.
+Everything that reports per-operator counts is a fold over one run's
+records: :class:`ProfileReport` (the CLI's ``.profile``), EXPLAIN
+ANALYZE (:mod:`repro.obs.analyze`), the traced ``execute`` span, the
+``operator.*`` metrics and the :class:`~repro.obs.telemetry.ResourceAccount`.
 
 Usage::
 
@@ -22,114 +25,194 @@ Usage::
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Iterator, List, Optional, Tuple
+import threading
+from contextlib import contextmanager
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro import obs
 from repro.algebra import AlgebraExpr
-from repro.engine.vector.batch import ColumnBatch
-from repro.engine.vector.operators import VectorOp, collect_batches
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import ResourceAccount, account
 from repro.relation import Relation
 
 __all__ = [
-    "OperatorProfile",
+    "OperatorRecord",
     "ProfileReport",
-    "ProfilingOp",
+    "active_meter",
     "execute_profiled",
-    "profile_plan",
+    "metered",
+    "metering_wanted",
+    "plan_records",
+    "record_of",
 ]
 
+#: One metered run's records, ``id(op) -> OperatorRecord``.
+Meter = Dict[int, "OperatorRecord"]
 
-class OperatorProfile:
-    """Counters for one operator in the plan."""
+#: Holds the calling thread's active meter (``_local.meter``).
+_local = threading.local()
+
+
+class OperatorRecord:
+    """What one operator did during one metered run.
+
+    ``batches``, ``pairs`` and ``rows`` count its output stream,
+    ``seconds`` is the inclusive wall time spent producing it and
+    ``invocations`` how often the stream was opened.  :func:`plan_records`
+    fills in the plan position: ``label``, ``depth``, ``index`` and
+    ``child_indexes``.
+    """
 
     __slots__ = (
-        "label", "op_class", "depth", "index", "child_indexes",
-        "pairs_out", "rows_out", "seconds", "invocations",
+        "op", "op_class", "engine", "batches", "pairs", "rows", "seconds",
+        "invocations", "label", "depth", "index", "child_indexes",
     )
 
     def __init__(
-        self, label: str, op_class: str, depth: int, index: int
+        self, op: Any, op_class: str, engine: Optional[str] = None
     ) -> None:
-        self.label = label
-        #: Operator class (e.g. ``hash-join``), the metrics label.
+        #: The counted batch operator, or the evaluator's algebra node.
+        self.op = op
+        #: Operator class (``v-hash-join``, ``Unique``), the metrics label.
         self.op_class = op_class
-        self.depth = depth
-        #: Plan pre-order position — the report's stable ordering key.
-        self.index = index
-        #: Indexes of this operator's direct children in the report.
-        self.child_indexes: List[int] = []
-        #: (tuple, count) pairs emitted (stream length).
-        self.pairs_out = 0
-        #: bag cardinality emitted (sum of counts).
-        self.rows_out = 0
-        #: inclusive wall time spent producing this operator's stream.
+        #: ``"reference"`` for evaluator nodes, None for batch operators.
+        self.engine = engine
+        self.batches = self.pairs = self.rows = self.invocations = 0
         self.seconds = 0.0
-        #: times the operator's stream was opened (re-executed subtrees).
-        self.invocations = 0
+        self.label = op_class
+        #: Plan pre-order position — the report's stable ordering key.
+        self.depth = self.index = 0
+        self.child_indexes: List[int] = []
 
 
-class ProfilingOp(VectorOp):
-    """A transparent wrapper that counts and times a wrapped operator.
+def active_meter() -> Optional[Meter]:
+    """The records of the run metered on this thread, or None."""
+    return getattr(_local, "meter", None)
 
-    It wraps ``batches()``, so a profiled plan runs the same batch code
-    path as an unprofiled one; only the handover between operators is
-    timed and counted.
+
+def record_of(
+    meter: Meter, op: Any, op_class: str, engine: Optional[str] = None
+) -> OperatorRecord:
+    """``op``'s record in ``meter``, created on first use.
+
+    A node object may sit at several plan positions, so writers add to
+    its record and never overwrite it.
     """
+    record = meter.get(id(op))
+    if record is None:
+        record = meter[id(op)] = OperatorRecord(op, op_class, engine)
+    return record
 
-    __slots__ = ("inner", "profile", "_children")
 
-    def __init__(
-        self, inner: VectorOp, profile: OperatorProfile, children: Tuple["ProfilingOp", ...]
-    ) -> None:
-        super().__init__(inner.schema, inner.batch_size)
-        self.inner = inner
-        self.profile = profile
-        self._children = children
+def metering_wanted() -> bool:
+    """True while :mod:`repro.obs` records or an account is active."""
+    return obs.recording() or account() is not None
 
-    @property
-    def consolidated(self) -> bool:
-        return self.inner.consolidated
 
-    def children(self) -> Tuple[VectorOp, ...]:
-        return self._children
+@contextmanager
+def metered() -> Iterator[Meter]:
+    """Meter one run on this thread and settle its records when it ends.
 
-    def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
-        profile = self.profile
-        profile.invocations += 1
-        clock = time.perf_counter
-        start = clock()
-        # The inner operator's children were rebound to their profiled
-        # versions at wrap time; here we just instrument the stream.
-        for batch in self.inner.batches(env):
-            profile.seconds += clock() - start
-            profile.pairs_out += len(batch.counts)
-            profile.rows_out += sum(batch.counts)
-            yield batch
-            start = clock()
-        profile.seconds += clock() - start
+    Settling folds the records into the ``operator.*`` metrics (while
+    :mod:`repro.obs` records) and into the thread's active resource
+    account.  A run opened inside another keeps its own records.
+    """
+    outer = getattr(_local, "meter", None)
+    meter: Meter = {}
+    _local.meter = meter
+    try:
+        yield meter
+    finally:
+        _local.meter = outer
+        if obs.recording():
+            emit_metrics(meter.values(), obs.metrics())
+        acct = account()
+        if acct is not None:
+            credit_account(acct, meter)
 
-    def label(self) -> str:
-        return self.inner.label()
+
+def emit_metrics(
+    records: Iterable[OperatorRecord], registry: MetricsRegistry
+) -> None:
+    """Fold records into the ``operator.rows`` / ``operator.pairs``
+    counters and the ``operator.seconds`` histogram, labelled by
+    operator class (plus ``engine=reference`` for evaluator nodes, which
+    are not timed)."""
+    for record in records:
+        labels = {"op": record.op_class}
+        if record.engine is not None:
+            labels["engine"] = record.engine
+        registry.counter("operator.rows", **labels).inc(record.rows)
+        registry.counter("operator.pairs", **labels).inc(record.pairs)
+        if record.engine is None:
+            registry.histogram("operator.seconds", **labels).observe(
+                record.seconds
+            )
+
+
+def credit_account(acct: ResourceAccount, meter: Meter) -> None:
+    """Fold one run's records into a resource account.
+
+    Scans give ``rows_scanned``; δ gives ``dedup_rows_out`` and, from
+    its operand's record, ``dedup_rows_in``; every batch handed over
+    counts as vectorized.
+    """
+    for record in meter.values():
+        acct.batches_vectorized += record.batches
+        if record.op_class in ("v-scan", "RelationRef"):
+            acct.rows_scanned += record.rows
+        elif record.op_class in ("v-distinct", "Unique"):
+            (operand,) = record.op.children()
+            source = meter.get(id(operand))
+            if source is not None:
+                # A shared node's record sums all of its evaluations,
+                # which give equal results: δ's input is one of them.
+                per_opening = source.rows // source.invocations
+                acct.dedup_rows_in += per_opening * record.invocations
+            acct.dedup_rows_out += record.rows
+
+
+def plan_records(plan: Any, meter: Meter) -> List[OperatorRecord]:
+    """Every plan position's record, in pre-order (root first).
+
+    An operator whose stream never opened (a hash join's probe side
+    when the build side is empty) gets a zero record, so it is still
+    listed, with 0 invocations.
+    """
+    out: List[OperatorRecord] = []
+
+    def visit(op: Any, depth: int) -> int:
+        record = record_of(meter, op, op.op_class())
+        record.label = op.label()
+        record.depth = depth
+        record.index = len(out)
+        out.append(record)
+        record.child_indexes = [
+            visit(child, depth + 1) for child in op.children()
+        ]
+        return record.index
+
+    visit(plan, 0)
+    return out
 
 
 class ProfileReport:
-    """All operator profiles of one execution.
+    """The per-operator records of one execution.
 
-    Profiles are kept in *plan pre-order* (root first, each operator
-    before its subtree) regardless of the order the caller collected
-    them in — the rendering, ``by_label``, and metrics emission are all
+    Records are kept in *plan pre-order* (root first, each operator
+    before its subtree) regardless of the order the caller passes them
+    in — the rendering, ``by_label``, and metrics emission are all
     deterministic for a given plan shape.
     """
 
-    def __init__(self, profiles: List[OperatorProfile]) -> None:
+    def __init__(self, profiles: List[OperatorRecord]) -> None:
         self.profiles = sorted(profiles, key=lambda profile: profile.index)
 
     def total_pairs(self) -> int:
-        return sum(profile.pairs_out for profile in self.profiles)
+        return sum(profile.pairs for profile in self.profiles)
 
     def total_rows(self) -> int:
-        return sum(profile.rows_out for profile in self.profiles)
+        return sum(profile.rows for profile in self.profiles)
 
     @property
     def total_seconds(self) -> float:
@@ -138,7 +221,7 @@ class ProfileReport:
             return 0.0
         return self.profiles[0].seconds
 
-    def exclusive_seconds(self, profile: OperatorProfile) -> float:
+    def exclusive_seconds(self, profile: OperatorRecord) -> float:
         """Time spent in ``profile`` itself, excluding its children.
 
         Inclusive minus the children's inclusive time, clamped at 0 —
@@ -153,9 +236,9 @@ class ProfileReport:
         )
         return max(0.0, profile.seconds - child_time)
 
-    def by_label(self) -> Dict[str, OperatorProfile]:
+    def by_label(self) -> Dict[str, OperatorRecord]:
         """First profile per label, in plan order (handy in tests)."""
-        table: Dict[str, OperatorProfile] = {}
+        table: Dict[str, OperatorRecord] = {}
         for profile in self.profiles:
             table.setdefault(profile.label, profile)
         return table
@@ -163,21 +246,10 @@ class ProfileReport:
     def emit_metrics(self, registry: MetricsRegistry) -> None:
         """Fold the per-operator counts into a metrics registry.
 
-        Increments ``operator.rows`` / ``operator.pairs`` counters
-        labelled by operator class and observes per-operator wall time
-        in the ``operator.seconds`` histogram — the shared data model
-        between EXPLAIN ANALYZE and the metrics layer.
+        The same fold a metered run settles into :func:`repro.obs.metrics`
+        (``operator.rows`` / ``operator.pairs`` / ``operator.seconds``).
         """
-        for profile in self.profiles:
-            registry.counter("operator.rows", op=profile.op_class).inc(
-                profile.rows_out
-            )
-            registry.counter("operator.pairs", op=profile.op_class).inc(
-                profile.pairs_out
-            )
-            registry.histogram("operator.seconds", op=profile.op_class).observe(
-                profile.seconds
-            )
+        emit_metrics(self.profiles, registry)
 
     def operator_records(self) -> List[Dict[str, object]]:
         """JSON-friendly per-operator rows (trace span attributes)."""
@@ -186,8 +258,8 @@ class ProfileReport:
                 "label": profile.label,
                 "op": profile.op_class,
                 "depth": profile.depth,
-                "pairs": profile.pairs_out,
-                "rows": profile.rows_out,
+                "pairs": profile.pairs,
+                "rows": profile.rows,
                 "seconds": profile.seconds,
                 "invocations": profile.invocations,
             }
@@ -203,63 +275,11 @@ class ProfileReport:
             indent = "  " * profile.depth
             label = f"{indent}{profile.label}"
             lines.append(
-                f"{label:<42} {profile.pairs_out:>10} "
-                f"{profile.rows_out:>10} {profile.seconds * 1000:>9.2f} "
+                f"{label:<42} {profile.pairs:>10} "
+                f"{profile.rows:>10} {profile.seconds * 1000:>9.2f} "
                 f"{self.exclusive_seconds(profile) * 1000:>9.2f}"
             )
         return "\n".join(lines)
-
-
-def _wrap(op: VectorOp, depth: int, sink: List[OperatorProfile]) -> ProfilingOp:
-    """Recursively wrap a plan; children are wrapped and re-attached."""
-    profile = OperatorProfile(op.label(), op.op_class(), depth, len(sink))
-    sink.append(profile)
-    wrapped_children = tuple(
-        _wrap(child, depth + 1, sink) for child in op.children()
-    )
-    profile.child_indexes = [
-        child.profile.index for child in wrapped_children
-    ]
-    if wrapped_children:
-        # Rebuild the inner operator so it pulls from the wrapped children.
-        op = _rebuild_with_children(op, wrapped_children)
-    return ProfilingOp(op, profile, wrapped_children)
-
-
-def _rebuild_with_children(
-    op: VectorOp, children: Tuple[VectorOp, ...]
-) -> VectorOp:
-    """A shallow copy of ``op`` with its child slots pointing at ``children``.
-
-    Physical operators keep children in conventional slot names; this
-    walks the slots rather than requiring every operator to implement a
-    with_children protocol.
-    """
-    import copy
-
-    clone = copy.copy(op)
-    child_iter = iter(children)
-    for slot in ("child", "left", "right"):
-        if hasattr(clone, slot):
-            current = getattr(clone, slot)
-            if isinstance(current, VectorOp):
-                setattr(clone, slot, next(child_iter))
-    return clone
-
-
-def profile_plan(
-    physical: VectorOp,
-) -> Tuple[ProfilingOp, List[OperatorProfile]]:
-    """Instrument an already-planned operator tree.
-
-    Returns the wrapped plan and its (pre-order) profile list; running
-    the wrapped plan fills the profiles in.  Shared by
-    :func:`execute_profiled` and the tracing path in
-    :func:`repro.engine.planner.execute`.
-    """
-    profiles: List[OperatorProfile] = []
-    instrumented = _wrap(physical, 0, profiles)
-    return instrumented, profiles
 
 
 def execute_profiled(
@@ -267,16 +287,17 @@ def execute_profiled(
     env: Dict[str, Relation],
     registry: Optional[MetricsRegistry] = None,
 ) -> Tuple[Relation, ProfileReport]:
-    """Plan, instrument, and run ``expr``; return (result, profile).
+    """Plan and run ``expr`` under a meter; return (result, profile).
 
     With ``registry``, the per-operator counts are also folded into the
     given metrics registry (see :meth:`ProfileReport.emit_metrics`).
     """
-    from repro.engine.vector.planner import plan_vector
+    from repro.engine.vector import collect_batches, plan_vector
 
-    instrumented, profiles = profile_plan(plan_vector(expr))
-    result = collect_batches(instrumented, env)
-    report = ProfileReport(profiles)
+    physical = plan_vector(expr)
+    with metered() as meter:
+        result = collect_batches(physical, env)
+    report = ProfileReport(plan_records(physical, meter))
     if registry is not None:
         report.emit_metrics(registry)
     return result, report

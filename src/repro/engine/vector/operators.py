@@ -8,19 +8,22 @@ batch kernels (:mod:`repro.expressions.compile`) over whole columns,
 falling back to the AST interpreter row path when an expression cannot
 be lowered (MONEY arithmetic, extension expressions).
 
-Operators exchange only :class:`ColumnBatch` chunks: the profiler wraps
-``batches()``, and extension nodes (transitive closure) batch the
-relation the reference evaluator computes for them.
+Operators exchange only :class:`ColumnBatch` chunks, and every stream is
+pulled through :func:`child_batches`, where the profiler's meter counts
+it.  Extension nodes (transitive closure) batch the relation the
+reference evaluator computes for them.
 """
 
 from __future__ import annotations
 
+import time
 from collections import defaultdict
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.aggregates import AggregateFunction, Count, Sum
 from repro.domains import INTEGER
+from repro.engine.profiler import Meter, active_meter, record_of
 from repro.engine.vector.batch import (
     ColumnBatch,
     DEFAULT_BATCH_SIZE,
@@ -40,7 +43,6 @@ from repro.expressions.compile import (
 )
 from repro.multiset import Multiset
 from repro import obs
-from repro.obs.telemetry import account as _active_account
 from repro.relation import Relation
 from repro.schema import RelationSchema
 from repro.tuples import Row
@@ -68,27 +70,37 @@ __all__ = [
 def child_batches(
     op: "VectorOp", env: Dict[str, Relation]
 ) -> Iterator[ColumnBatch]:
-    """Pull a child operator's batches.
+    """Pull an operator's batches: the one place operators are counted.
 
-    When a :class:`~repro.obs.telemetry.ResourceAccount` is active, each
-    batch handed over is credited to ``batches_vectorized``.  Every
-    operator exchanges batches, so the account's ``batches_fallback``
-    (kept in the ``stats`` payload) stays 0.
+    While a meter is active on the thread
+    (:func:`repro.engine.profiler.metered`), the stream is wrapped and
+    every batch handed over is added to ``op``'s
+    :class:`~repro.engine.profiler.OperatorRecord`; otherwise the stream
+    is returned as is, for one thread-local read.
     """
-    batches = op.batches(env)
-    acct = _active_account()
-    if acct is None:
-        return batches
-    return _counted_batches(batches, acct)
+    meter = active_meter()
+    if meter is None:
+        return op.batches(env)
+    return _metered_batches(op, env, meter)
 
 
-def _counted_batches(
-    batches: Iterator[ColumnBatch], acct: Any
+def _metered_batches(
+    op: "VectorOp", env: Dict[str, Relation], meter: Meter
 ) -> Iterator[ColumnBatch]:
-    """Yield batches unchanged, crediting the account per batch."""
-    for batch in batches:
-        acct.batches_vectorized += 1
+    """Yield ``op``'s batches unchanged, counting and timing them."""
+    record = record_of(meter, op, op.op_class())
+    record.invocations += 1
+    clock = time.perf_counter
+    start = clock()
+    for batch in op.batches(env):
+        record.seconds += clock() - start
+        counts = batch.counts
+        record.batches += 1
+        record.pairs += len(counts)
+        record.rows += sum(counts)
         yield batch
+        start = clock()
+    record.seconds += clock() - start
 
 
 def _relation_batches(relation: Relation, batch_size: int) -> Iterator[ColumnBatch]:
@@ -173,9 +185,6 @@ class VScanOp(VectorOp):
             relation = env[self.name]
         except KeyError:
             raise UnknownRelationError(self.name) from None
-        acct = _active_account()
-        if acct is not None:
-            acct.rows_scanned += len(relation)
         # Bulk list accessors + slicing: no per-pair iteration at all.
         return _relation_batches(relation, self.batch_size)
 
@@ -897,11 +906,7 @@ class VDistinctOp(VectorOp):
         seen: set[Row] = set()
         add = seen.add
         degree = self.schema.degree
-        acct = _active_account()
-        rows_in = 0
         for batch in child_batches(self.child, env):
-            if acct is not None:
-                rows_in += sum(batch.counts)
             fresh: List[Row] = []
             push = fresh.append
             for row in batch.rows():
@@ -910,9 +915,6 @@ class VDistinctOp(VectorOp):
                     push(row)
             if fresh:
                 yield ColumnBatch.from_rows(fresh, [1] * len(fresh), degree)
-        if acct is not None:
-            acct.dedup_rows_in += rows_in
-            acct.dedup_rows_out += len(seen)
 
     def label(self) -> str:
         return "v-distinct"

@@ -135,9 +135,9 @@ class ExecutionContext:
         """Evaluate ``expr`` against the working state.
 
         When an :attr:`account` is attached, it is activated for the
-        calling thread around the evaluation so the engine's scan /
-        duplicate-elimination / cache call sites can credit it, and the
-        result cardinalities are tallied here.
+        calling thread around the evaluation: the run is metered and its
+        operator records are folded into it, the cache credits its hits
+        and misses, and the result cardinalities are tallied here.
         """
         self.reads.update(base_relations(expr) & self.relations.keys())
         if self.account is None:

@@ -30,9 +30,11 @@ database.
 Finally, ``Session(db, analyze=True)`` (or :meth:`Session.set_analyze`)
 turns on EXPLAIN ANALYZE mode: every :meth:`Session.query` executes
 fully instrumented, keeps the annotated estimate-vs-actual report as
-``session.last_analyze``, and feeds the observed cardinalities back
-into the session's statistics catalog so repeated queries re-plan with
-runtime truth.  One-off reports come from
+``session.last_analyze``, and feeds the observed cardinalities into
+the session's statistics catalog, which later analyze runs plan with.
+Queries outside analyze mode (like the interpreter and the server)
+optimize without a catalog, so the feedback does not re-plan them.
+One-off reports come from
 :meth:`Session.explain_analyze` without switching modes.
 """
 

@@ -2,28 +2,28 @@
 
 Where :mod:`repro.tools.explain` predicts what a plan *should* do and
 :mod:`repro.engine.profiler` measures what a plan *did*, this module
-joins the two: it runs a query with every physical operator instrumented
-(actual rows, stream pairs, wall time, invocation counts, consolidation
-effect) and pairs each operator with the optimizer's **estimated**
-cardinality for the logical subexpression it implements.  The result is
-an :class:`AnalyzeReport` — a JSON-serializable plan tree annotated with
-estimate-vs-actual ratios, with misestimates of ten times or more
-flagged::
+joins the two: it runs a query under a meter (actual rows, stream pairs,
+wall time, invocation counts, consolidation effect, read from each
+operator's counter record) and pairs each operator with the optimizer's
+**estimated** cardinality for the logical subexpression it implements.
+The result is an :class:`AnalyzeReport` — a JSON-serializable plan tree
+annotated with estimate-vs-actual ratios, with misestimates of ten times
+or more flagged::
 
     hash-join            rows est=10 act=4,812 ×481 ⚠ ...
 
 Feeding a report into
-:meth:`repro.engine.statistics.StatisticsCatalog.record_actuals` closes
-the loop: the catalog then prefers observed cardinalities over its
-Selinger-style formulas, so the *next* planning of the same (or an
-overlapping) query works from runtime truth — the adaptive-feedback
-tradition the optimizer literature recommends and the paper's
-equivalence theorems make safe (every rewrite preserves the bag result,
-so re-planning can only change cost, never answers).
+:meth:`repro.engine.statistics.StatisticsCatalog.record_actuals` makes
+that catalog prefer observed cardinalities over its Selinger-style
+formulas.  Only later EXPLAIN ANALYZE runs given that catalog (a
+session in analyze mode included) plan with it; served queries
+(``Session.query`` outside analyze mode, the interpreter, the server)
+optimize without a catalog, so the feedback does not re-plan them.
+The paper's equivalence theorems make such feedback safe: every rewrite
+preserves the bag result, so re-planning can only change cost, never
+answers.
 
-The pipeline only ever *adds* wrappers to an explicitly requested run;
-nothing here executes unless :func:`analyze` is called, so the
-zero-cost-when-disabled property of :mod:`repro.obs` is untouched.
+Nothing here executes unless :func:`analyze` is called.
 """
 
 from __future__ import annotations
@@ -46,60 +46,42 @@ MISESTIMATE_THRESHOLD = 10.0
 
 #: Operator classes whose job is to collapse input rows; the report
 #: shows their consolidation count (rows in minus rows out).
-_CONSOLIDATING = {
-    "distinct", "group-by", "difference", "intersect", "exchange",
-    "v-distinct", "v-group-by", "v-difference", "v-intersect",
-}
+_CONSOLIDATING = {"v-distinct", "v-group-by", "v-difference", "v-intersect"}
 
 
 class OperatorStats:
-    """Estimate-vs-actual statistics for one operator of an executed plan."""
+    """One executed operator's counter record, with what the estimate
+    side adds.
 
-    __slots__ = (
-        "index", "depth", "label", "op_class", "child_indexes",
-        "est_rows", "rows", "pairs", "seconds", "invocations",
-        "fingerprint", "relation", "rows_in",
-    )
+    The measured counts (``rows``, ``pairs``, ``seconds``,
+    ``invocations``) and the plan position (``index``, ``depth``,
+    ``label``, ``op_class``, ``child_indexes``) are read from the
+    operator's :class:`~repro.engine.profiler.OperatorRecord`.
+    """
+
+    __slots__ = ("record", "est_rows", "fingerprint", "relation", "rows_in")
 
     def __init__(
         self,
-        index: int,
-        depth: int,
-        label: str,
-        op_class: str,
-        child_indexes: List[int],
-        est_rows: Optional[float],
-        rows: int,
-        pairs: int,
-        seconds: float,
-        invocations: int,
+        record: Any,
+        est_rows: Optional[float] = None,
         fingerprint: Optional[str] = None,
         relation: Optional[str] = None,
-        rows_in: Optional[int] = None,
     ) -> None:
-        #: Plan pre-order position (stable ordering key).
-        self.index = index
-        self.depth = depth
-        self.label = label
-        self.op_class = op_class
-        self.child_indexes = child_indexes
+        self.record = record
         #: Estimated output cardinality, or None when the physical
         #: operator could not be matched back to a logical subexpression.
         self.est_rows = est_rows
-        #: Actual bag cardinality emitted.
-        self.rows = rows
-        #: Actual (tuple, count) stream pairs emitted.
-        self.pairs = pairs
-        #: Inclusive wall time producing this operator's stream.
-        self.seconds = seconds
-        #: Times the operator's stream was opened.
-        self.invocations = invocations
         #: Canonical fingerprint of the logical subexpression (feedback key).
         self.fingerprint = fingerprint
         #: Base relation name, for scans (lets feedback fix table stats).
         self.relation = relation
         #: Actual rows received from the children (None at the leaves).
-        self.rows_in = rows_in
+        self.rows_in: Optional[int] = None
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for names that are not slots: the record's fields.
+        return getattr(self.record, name)
 
     @property
     def misestimate_factor(self) -> Optional[float]:
@@ -185,9 +167,9 @@ class AnalyzeReport:
 
     The report is JSON-serializable (:meth:`to_dict` / :meth:`to_json`)
     and carries the materialised query result as :attr:`result` (not
-    part of the JSON form).  Feed it to
-    :meth:`~repro.engine.statistics.StatisticsCatalog.record_actuals`
-    to re-plan future queries with the observed cardinalities.
+    part of the JSON form).  Fed to
+    :meth:`~repro.engine.statistics.StatisticsCatalog.record_actuals`,
+    its observed cardinalities inform later analyze runs on that catalog.
     """
 
     def __init__(
@@ -296,8 +278,9 @@ class AnalyzeReport:
             lines.append(
                 f"{len(flagged)} operator(s) misestimated "
                 f"≥{self.threshold:g}× (worst: {worst.label}, "
-                f"×{worst.misestimate_factor:,.0f}) — feed this report to "
-                "StatisticsCatalog.record_actuals() to re-plan with actuals"
+                f"×{worst.misestimate_factor:,.0f}) — "
+                "StatisticsCatalog.record_actuals() feeds the actuals to "
+                "later EXPLAIN ANALYZE runs"
             )
         return "\n".join(lines)
 
@@ -426,14 +409,6 @@ def annotate_estimates(
     return annotations
 
 
-def _preorder(op: Any) -> List[Any]:
-    """The physical tree in pre-order — the profiler's index order."""
-    out = [op]
-    for child in op.children():
-        out.extend(_preorder(child))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the pipeline
 # ---------------------------------------------------------------------------
@@ -460,8 +435,8 @@ def analyze(
     it immediately.  ``cache`` (a :class:`repro.cache.QueryCache`)
     contributes hit/miss provenance to the report; the analyzed
     execution itself never serves from the cache — actuals require an
-    actual run.  The profiler wraps each operator's ``batches()``, so
-    the analyzed plan runs the same code path as a served query.
+    actual run.  Operators are counted where their batches are handed
+    over, so the analyzed plan runs exactly the code a served query runs.
 
     ``analyze.runs`` / ``analyze.operators`` / ``analyze.seconds`` and
     ``plan.misestimate{op=...}`` accumulate in the metrics registry on
@@ -470,7 +445,7 @@ def analyze(
     """
     from repro import obs
     from repro.algebra import render
-    from repro.engine.profiler import profile_plan
+    from repro.engine.profiler import metered, plan_records
     from repro.engine.vector import collect_batches, plan_vector
     from repro.engine.statistics import StatisticsCatalog
     from repro.optimizer import optimize
@@ -484,38 +459,25 @@ def analyze(
         )
         physical = plan_vector(optimized)
         annotations = annotate_estimates(optimized, physical, catalog)
-        instrumented, profiles = profile_plan(physical)
-        started = time.perf_counter()
-        result = collect_batches(instrumented, env)
-        seconds = time.perf_counter() - started
+        with metered() as meter:
+            started = time.perf_counter()
+            result = collect_batches(physical, env)
+            seconds = time.perf_counter() - started
 
     operators: List[OperatorStats] = []
-    for op, profile in zip(_preorder(physical), profiles):
-        info = annotations.get(id(op), {})
+    for record in plan_records(physical, meter):
+        info = annotations.get(id(record.op), {})
         operators.append(
             OperatorStats(
-                index=profile.index,
-                depth=profile.depth,
-                label=profile.label,
-                op_class=profile.op_class,
-                child_indexes=list(profile.child_indexes),
+                record,
                 est_rows=info.get("est"),
-                rows=profile.rows_out,
-                pairs=profile.pairs_out,
-                seconds=profile.seconds,
-                invocations=profile.invocations,
                 fingerprint=info.get("fingerprint"),
                 relation=info.get("relation"),
             )
         )
-    by_index = {op.index: op for op in operators}
     for op in operators:
         if op.child_indexes:
-            op.rows_in = sum(
-                by_index[index].rows
-                for index in op.child_indexes
-                if index in by_index
-            )
+            op.rows_in = sum(operators[index].rows for index in op.child_indexes)
 
     cache_info: Optional[Dict[str, Any]] = None
     if cache is not None:

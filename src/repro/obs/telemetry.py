@@ -12,8 +12,10 @@ observable *live*, with zero dependencies beyond the standard library:
   vectorized vs. fallback batch counts.  The account rides through
   :class:`repro.language.context.ExecutionContext` via a thread-local
   (executor threads each run one statement at a time, so activation
-  nests correctly), gets attached to :class:`repro.obs.querylog`
-  records, and aggregates into per-connection gauges.
+  nests correctly); each run's per-operator records
+  (:mod:`repro.engine.profiler`) are folded into it when the run ends.
+  It gets attached to :class:`repro.obs.querylog` records and
+  aggregates into per-connection gauges.
 
 * :func:`render_prometheus` — the Prometheus text exposition (format
   0.0.4) renderer over :meth:`MetricsRegistry.snapshot` records, the
@@ -30,8 +32,8 @@ observable *live*, with zero dependencies beyond the standard library:
   ``.top``, rendered from the ``stats`` wire command's payload.
 
 Everything here is ~zero-cost when idle: the HTTP listener only works
-when a scraper connects, and account/metric updates are guarded by the
-single ``repro.obs`` recording flag.
+when a scraper connects, and a run is metered only while an account is
+active or ``repro.obs`` records.
 """
 
 from __future__ import annotations
@@ -153,9 +155,8 @@ _local = threading.local()
 def account() -> Optional[ResourceAccount]:
     """The calling thread's active account, or None.
 
-    This is the hook the engine's hot paths poll; it costs one
-    thread-local attribute lookup, so un-metered runs (the tier-1 suite,
-    the benches) pay essentially nothing.
+    One thread-local attribute lookup; a run checks it when it starts
+    (is it metered?) and when it ends (where do its records go?).
     """
     return getattr(_local, "account", None)
 

@@ -30,8 +30,8 @@ class TestProfiler:
         env, expr = setup
         _result, profile = execute_profiled(expr, env)
         by_label = profile.by_label()
-        assert by_label["v-scan beer"].rows_out == 6
-        assert by_label["v-scan brewery"].rows_out == 4
+        assert by_label["v-scan beer"].rows == 6
+        assert by_label["v-scan brewery"].rows == 4
 
     def test_join_fusion_visible_in_profile(self, setup):
         env, expr = setup
@@ -42,7 +42,7 @@ class TestProfiler:
             p for p in profile.profiles if p.label.startswith("v-hash-join")
         ]
         assert join_profiles
-        assert join_profiles[0].rows_out <= 6
+        assert join_profiles[0].rows <= 6
 
     def test_join_emits_fewer_pairs_than_raw_product(self, setup):
         env, expr = setup
@@ -52,10 +52,10 @@ class TestProfiler:
         _r2, fused_profile = execute_profiled(expr, env)
         # The raw product emits |beer|·|brewery| pairs; the fused hash
         # join only the matches — the profiler makes the saving visible.
-        product_pairs = product_profile.by_label()["v-product"].pairs_out
+        product_pairs = product_profile.by_label()["v-product"].pairs
         join_pairs = [
             p for p in fused_profile.profiles if "hash-join" in p.label
-        ][0].pairs_out
+        ][0].pairs
         assert product_pairs == 24
         assert join_pairs < product_pairs
 
@@ -137,7 +137,7 @@ class TestProfileReportErgonomics:
         scans = profile.by_label()["v-scan beer"]
         assert registry.total("operator.rows") == profile.total_rows()
         assert registry.value("operator.pairs", op="v-hash-join") > 0
-        assert scans.rows_out > 0
+        assert scans.rows > 0
 
 
 class TestProfilerEmptyRelation:

@@ -357,6 +357,20 @@ def test_response_carries_resources(server) -> None:
     assert resources["batches_vectorized"] >= 1
 
 
+def test_metrics_expose_vector_operator_rows(server) -> None:
+    with ServerClient(*server.address) as client:
+        client.xra("? unique(acct);")
+    status, text = scrape(server.server.telemetry_address)
+    assert status == 200
+    rows = {
+        dict(labels)["op"]: value
+        for name, labels, value in parse_exposition(text)
+        if name == "repro_operator_rows_total"
+    }
+    assert rows.get("v-scan") == 4
+    assert rows.get("v-distinct") == 3
+
+
 def test_stats_command_and_top_dashboard(server) -> None:
     with ServerClient(*server.address) as client:
         client.xra("? unique(acct);")
