@@ -9,7 +9,7 @@ Run with::
     python examples/xra_programs.py
 """
 
-from repro import Database, format_relation
+from repro import Database, Session, format_relation
 from repro.extensions import DomainConstraint
 from repro.xra import XRAInterpreter
 
@@ -77,8 +77,10 @@ def show(result):
 def main() -> None:
     db = Database()
     xra = XRAInterpreter(
-        db,
-        constraints=[DomainConstraint("alc_pos", "beer", "alcperc > 0.0")],
+        Session(
+            db,
+            constraints=[DomainConstraint("alc_pos", "beer", "alcperc > 0.0")],
+        )
     )
 
     xra.run(SETUP)

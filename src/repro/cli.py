@@ -92,16 +92,15 @@ class Shell:
         err: TextIO = sys.stderr,
     ) -> None:
         self.database = database or Database()
-        self.interpreter = XRAInterpreter(self.database)
         self.query_log = obs.QueryLog(slow_threshold=self.SLOW_THRESHOLD)
+        #: The one session that runs XRA, SQL and meta-command queries:
+        #: its cache, lint and analyze modes and constraints apply to all.
         self.session = Session(self.database, query_log=self.query_log)
+        self.interpreter = XRAInterpreter(self.session)
         self.out = out
         self.err = err
         self._buffer: List[str] = []
         self._trace_path: Optional[str] = None
-        #: One query cache shared by the session (SQL, library) and the
-        #: XRA interpreter; None while caching is off.
-        self.cache: Optional[QueryCache] = None
         #: Every AnalyzeReport produced this session (``.analyze`` runs
         #: and analyze-mode statements) — the --trace-events exporter
         #: turns these into operator flame-graph lanes.
@@ -336,58 +335,51 @@ class Shell:
             except ValueError:
                 self.print_error(ReproError(f"usage: {self.CACHE_USAGE}"))
                 return
-            self.set_cache(
+            cache = self.session.set_cache(
                 QueryCache(max_bytes=max_bytes)
                 if max_bytes is not None
                 else QueryCache()
             )
-            assert self.cache is not None
             self.print(
                 "query cache on "
-                f"({self.cache.max_bytes // (1024 * 1024)} MiB budget)"
+                f"({cache.max_bytes // (1024 * 1024)} MiB budget)"
             )
             return
         if mode == "off":
-            self.set_cache(None)
+            self.session.set_cache(None)
             self.print("query cache off")
             return
+        cache = self.session.cache
         if mode == "clear":
-            if self.cache is None:
+            if cache is None:
                 self.print("query cache is off; nothing to clear")
             else:
-                self.cache.clear()
+                cache.clear()
                 self.print("query cache cleared")
             return
         if mode == "stats":
-            if self.cache is None:
+            if cache is None:
                 self.print("query cache is off")
                 return
-            stats = self.cache.stats
             self.print(
-                f"results: {len(self.cache)} entry(s), "
-                f"~{self.cache.nbytes} bytes "
-                f"(budget {self.cache.max_bytes}); "
-                f"plans: {self.cache.plan_entries}"
+                f"results: {len(cache)} entry(s), "
+                f"~{cache.nbytes} bytes "
+                f"(budget {cache.max_bytes}); "
+                f"plans: {cache.plan_entries}"
             )
-            for name, value in stats.as_dict().items():
+            for name, value in cache.stats.as_dict().items():
                 self.print(f"  {name:<16} {value}")
             return
         if mode:
             self.print_error(ReproError(f"usage: {self.CACHE_USAGE}"))
             return
-        if self.cache is None:
+        if cache is None:
             self.print(f"query cache is off; usage: {self.CACHE_USAGE}")
         else:
             self.print(
-                f"query cache on: {len(self.cache)} result(s), "
-                f"hit rate {self.cache.stats.hit_rate:.0%}"
+                f"query cache on: {len(cache)} result(s), "
+                f"hit rate {cache.stats.hit_rate:.0%}"
             )
-
-    def set_cache(self, cache: Optional[QueryCache]) -> None:
-        """Point the session *and* the script interpreter at one cache."""
-        self.cache = cache
-        self.session.set_cache(cache)
-        self.interpreter.set_cache(cache)
 
     LINT_USAGE = ".lint [on | off | strict | TEXT]"
 
@@ -395,12 +387,11 @@ class Shell:
         """``.lint on|off|strict`` / ``.lint TEXT`` / bare ``.lint``."""
         argument = argument.strip()
         if not argument:
-            mode = self.interpreter.lint or "off"
+            mode = self.session.lint_mode or "off"
             self.print(f"lint is {mode}; usage: {self.LINT_USAGE}")
             return
         if argument in ("on", "off", "warn", "strict"):
-            self.set_lint(argument)
-            self.print(f"lint {self.interpreter.lint or 'off'}")
+            self.print(f"lint {self.session.set_lint(argument) or 'off'}")
             return
         from repro.lint import lint_script
 
@@ -413,11 +404,6 @@ class Shell:
             # A bare expression was pasted; lint it as a query.
             report = lint_script(f"? {text}", self.database.schema.get)
         self.print(report.render())
-
-    def set_lint(self, mode) -> None:
-        """Point the session *and* the script interpreter at one mode."""
-        self.session.set_lint(mode)
-        self.interpreter.set_lint(mode)
 
     def explain(self, text: str) -> None:
         """Logical tree, optimized tree, physical plan of one XRA query."""
@@ -460,13 +446,7 @@ class Shell:
             )
             return
         if argument in ("on", "off"):
-            on = argument == "on"
-            try:
-                self.session.set_analyze(on)
-                self.interpreter.set_analyze(on)
-            except ValueError as error:
-                self.print_error(ReproError(str(error)))
-                return
+            self.session.set_analyze(argument == "on")
             self.print(f"analyze mode {argument}")
             return
         expr = self._parse_single_query(argument)
@@ -566,13 +546,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         help="XRA script that seeds the database before serving",
     )
     parser.add_argument(
-        "--engine",
-        choices=("reference", "vector"),
-        default="reference",
-        help="evaluation strategy: the reference evaluator or the "
-        "physical (vector) engine",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="disable the shared epoch-invalidated result cache",
     )
@@ -632,7 +605,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         admission_timeout=options.admission_timeout,
         query_timeout=options.query_timeout,
         drain_timeout=options.drain_timeout,
-        engine=options.engine,
         cache=not options.no_cache,
         lint=options.lint,
         slow_query_threshold=options.slow_log,
@@ -914,11 +886,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if options.slow_log is not None:
         shell.query_log.slow_threshold = options.slow_log
     if options.cache:
-        shell.set_cache(QueryCache(max_bytes=int(options.cache_mb * 1024 * 1024)))
+        shell.session.set_cache(
+            QueryCache(max_bytes=int(options.cache_mb * 1024 * 1024))
+        )
     if options.strict_lint:
-        shell.set_lint("strict")
+        shell.session.set_lint("strict")
     elif options.lint:
-        shell.set_lint("warn")
+        shell.session.set_lint("warn")
     try:
         if options.script:
             with open(options.script, encoding="utf-8") as handle:

@@ -42,7 +42,6 @@ from repro.expressions.compile import (
     compile_row,
 )
 from repro.multiset import Multiset
-from repro import obs
 from repro.relation import Relation
 from repro.schema import RelationSchema
 from repro.tuples import Row
@@ -1145,8 +1144,5 @@ def collect_batches(op: VectorOp, env: Dict[str, Relation]) -> Relation:
             for row, count in zip(batch.rows(), batch.counts):
                 totals[row] += count
         counts = dict(totals)
-    if obs.recording():
-        obs.add("engine.collected.pairs", len(counts))
-        obs.add("engine.collected.rows", sum(counts.values()))
     # Batch streams carry positive counts by invariant; adopt directly.
     return Relation.from_multiset(op.schema, Multiset._from_counts(counts))

@@ -1,7 +1,11 @@
 """A convenient front door: sessions and interactive transactions.
 
 :class:`Session` ties a database to an evaluation strategy (reference or
-physical engine, optimizer on/off) and offers:
+physical engine, optimizer on/off, cache, lint and analyze modes,
+integrity constraints, query log).  It is the one object that decides
+how a statement runs: the XRA interpreter, the CLI shell and the query
+server all build their working states with :meth:`Session.context`.
+It offers:
 
 * ``session.query(expr)`` — evaluate a read-only expression now;
 * ``session.insert/delete/update/assign`` — auto-commit single-statement
@@ -24,16 +28,15 @@ A session also optionally carries a :class:`~repro.cache.QueryCache`
 (``Session(db, cache=True)`` or ``cache=QueryCache(...)``): repeated
 reads are then served from the epoch-invalidated result cache, and the
 query log marks such statements "served from cache".  One cache object
-may be shared between sessions (and the XRA interpreter) over the same
-database.
+may be shared between sessions over the same database.
 
 Finally, ``Session(db, analyze=True)`` (or :meth:`Session.set_analyze`)
 turns on EXPLAIN ANALYZE mode: every :meth:`Session.query` executes
 fully instrumented, keeps the annotated estimate-vs-actual report as
 ``session.last_analyze``, and feeds the observed cardinalities into
 the session's statistics catalog, which later analyze runs plan with.
-Queries outside analyze mode (like the interpreter and the server)
-optimize without a catalog, so the feedback does not re-plan them.
+Queries outside analyze mode (like the server's) optimize without a
+catalog, so the feedback does not re-plan them.
 One-off reports come from
 :meth:`Session.explain_analyze` without switching modes.
 """
@@ -175,17 +178,17 @@ class Session:
         self.last_lint = report
         return report
 
-    def _lint_gate(self, expr: AlgebraExpr) -> None:
-        """Lint ``expr`` per the session mode; raise in strict mode."""
+    def _lint_gate(self, report: "object") -> "object":
+        """Keep ``report`` as :attr:`last_lint`; raise on errors in strict mode."""
         from repro.errors import LintError
 
-        report = self.lint(expr)
+        self.last_lint = report
         if self._lint == "strict" and not report.ok:
             raise LintError(report)
+        return report
 
     def _lint_statements(self, statements: Sequence[Statement]) -> None:
         """Lint a statement batch per the session mode."""
-        from repro.errors import LintError
         from repro.lint import LintReport, lint_statement
 
         report = LintReport()
@@ -193,9 +196,34 @@ class Session:
             report = report.extend(
                 lint_statement(statement, self.database.schema.get)
             )
-        self.last_lint = report
-        if self._lint == "strict" and not report.ok:
-            raise LintError(report)
+        self._lint_gate(report)
+
+    def lint_script(self, text: str) -> Optional[object]:
+        """Lint a whole XRA script per the session mode, before it runs.
+
+        Returns the report (``None`` with lint off); in strict mode
+        error-severity findings raise :class:`~repro.errors.LintError`,
+        so a script that would fail halfway never starts.
+        """
+        if self._lint is None:
+            return None
+        from repro.lint import lint_script
+
+        return self._lint_gate(lint_script(text, self.database.schema.get))
+
+    # -- integrity constraints -----------------------------------------------
+
+    def declare_constraint(self, constraint: object) -> None:
+        """Check ``constraint`` at every later commit through this session."""
+        self.constraints.append(constraint)
+
+    def drop_constraint(self, name: str) -> None:
+        """Forget every declared constraint called ``name``."""
+        self.constraints = [
+            constraint
+            for constraint in self.constraints
+            if getattr(constraint, "name", None) != name
+        ]
 
     def _exec_optimizer(
         self,
@@ -305,6 +333,23 @@ class Session:
                 return cached
         return expr_fingerprint(expr)
 
+    # -- working states -------------------------------------------------------
+
+    def context(self, account: Optional[object] = None) -> ExecutionContext:
+        """A working state over the database's current snapshot.
+
+        It evaluates with this session's strategy; ``account`` optionally
+        meters its evaluations.
+        """
+        return ExecutionContext(
+            self.database.snapshot(),
+            use_physical_engine=self.use_physical_engine,
+            optimizer=self._exec_optimizer(),
+            cache=self._cache,
+            database=self.database,
+            account=account,
+        )
+
     # -- expression building ----------------------------------------------
 
     def relation(self, name: str) -> RelationRef:
@@ -317,7 +362,7 @@ class Session:
         """Evaluate ``expr`` against the current state (no transaction)."""
         log = self.query_log
         if self._lint is not None:
-            self._lint_gate(expr)
+            self._lint_gate(self.lint(expr))
         if self._analyze:
             report = self.explain_analyze(expr)
             result = report.result
@@ -334,14 +379,7 @@ class Session:
                 )
             return result
         if log is None and not obs.enabled():
-            context = ExecutionContext(
-                self.database.snapshot(),
-                use_physical_engine=self.use_physical_engine,
-                optimizer=self._exec_optimizer(),
-                cache=self._cache,
-                database=self.database,
-            )
-            return context.evaluate(expr)
+            return self.context().evaluate(expr)
         started = time.perf_counter()
         hits_before = (
             self._cache.stats.result_hits if self._cache is not None else 0
@@ -349,14 +387,7 @@ class Session:
         with obs.span(
             "session.query", logical_time=self.database.logical_time
         ) as span:
-            context = ExecutionContext(
-                self.database.snapshot(),
-                use_physical_engine=self.use_physical_engine,
-                optimizer=self._exec_optimizer(),
-                cache=self._cache,
-                database=self.database,
-            )
-            result = context.evaluate(expr)
+            result = self.context().evaluate(expr)
             if span.recording:
                 span.set(rows=len(result), pairs=result.distinct_count)
         seconds = time.perf_counter() - started
@@ -396,15 +427,10 @@ class Session:
         """Run ``statements`` as one transaction."""
         if self._lint is not None:
             self._lint_statements(statements)
-        transaction = Transaction(statements)
         log = self.query_log
         started = time.perf_counter() if log is not None else 0.0
-        result = transaction.run(
-            self.database,
-            use_physical_engine=self.use_physical_engine,
-            optimizer=self._exec_optimizer(),
-            constraints=self.constraints,
-            cache=self._cache,
+        result = Transaction(statements).execute(
+            self.context(), self.constraints
         )
         if log is not None:
             text = "; ".join(repr(statement) for statement in statements)
@@ -448,13 +474,7 @@ class ActiveTransaction:
 
     def __init__(self, session: Session) -> None:
         self._session = session
-        self._context = ExecutionContext(
-            session.database.snapshot(),
-            use_physical_engine=session.use_physical_engine,
-            optimizer=session._exec_optimizer(),
-            cache=session._cache,
-            database=session.database,
-        )
+        self._context = session.context()
         self._finished = False
 
     # -- statements -----------------------------------------------------------

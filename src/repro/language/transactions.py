@@ -139,6 +139,21 @@ class Transaction:
             cache=cache,
             database=database,
         )
+        return self.execute(context, constraints, record_intermediate_states)
+
+    def execute(
+        self,
+        context: ExecutionContext,
+        constraints: Sequence["object"] = (),
+        record_intermediate_states: bool = False,
+    ) -> TransactionResult:
+        """Run in the fresh working state ``context``, then commit it.
+
+        :meth:`run` with the strategy already chosen: a
+        :class:`~repro.language.Session` passes a context from
+        :meth:`~repro.language.Session.context`.
+        """
+        database = context.database
         intermediate_states: List[IntermediateState] = []
         if record_intermediate_states:
             intermediate_states.append((0, dict(context.environment())))

@@ -50,11 +50,11 @@ from repro.errors import (
     ServerShutdownError,
 )
 from repro.language.context import ExecutionContext
+from repro.language.session import Session
 from repro.language.transactions import check_constraints
 from repro.obs import QueryLog
 from repro.obs.telemetry import ResourceAccount, TelemetryServer
 from repro.obs.trace import new_span_id
-from repro.optimizer import optimize
 from repro.relation import Relation
 from repro.server.protocol import (
     MAX_LINE_BYTES,
@@ -65,14 +65,7 @@ from repro.server.protocol import (
     relation_wire_bytes,
 )
 from repro.server.sessions import ParsedScript, ServerSession
-from repro.xra.parser import (
-    CreateRelation,
-    DeclareConstraint,
-    DropConstraint,
-    DropRelation,
-    StatementItem,
-    TransactionItem,
-)
+from repro.xra.parser import DDL_ITEMS, StatementItem
 
 __all__ = ["ServerConfig", "QueryServer", "ServerHandle", "serve_in_background"]
 
@@ -91,7 +84,7 @@ class ServerConfig:
         admission_timeout: float = 5.0,
         query_timeout: float = 30.0,
         drain_timeout: float = 10.0,
-        engine: str = "reference",
+        engine: str = "vector",
         optimize: bool = True,
         cache: Any = True,
         lint: Optional[str] = None,
@@ -99,10 +92,8 @@ class ServerConfig:
         telemetry: Optional[int] = None,
         telemetry_host: str = "127.0.0.1",
     ) -> None:
-        if engine not in ("reference", "vector"):
-            raise ValueError(
-                f"engine must be 'reference' or 'vector', not {engine!r}"
-            )
+        if engine != "vector":
+            raise ValueError(f"engine must be 'vector', not {engine!r}")
         if lint not in (None, "warn", "strict"):
             raise ValueError(
                 f"lint must be None, 'warn', or 'strict', not {lint!r}"
@@ -124,7 +115,8 @@ class ServerConfig:
         self.query_timeout = query_timeout
         #: Seconds shutdown waits for in-flight requests.
         self.drain_timeout = drain_timeout
-        #: ``"reference"`` evaluator or the physical ``"vector"`` engine.
+        #: Always ``"vector"``: the server serves only through the
+        #: physical engine.  Kept for ``benchmarks/e2e/``, which passes it.
         self.engine = engine
         #: Run the algebraic optimizer before evaluation.
         self.optimize = optimize
@@ -159,23 +151,26 @@ class QueryServer:
         self.database = database if database is not None else Database()
         self.config = config or ServerConfig()
         cache = self.config.cache
-        if cache is None or cache is False:
-            self.cache: Optional[ConcurrentQueryCache] = None
-        elif cache is True:
-            self.cache = ConcurrentQueryCache()
-        elif isinstance(cache, ConcurrentQueryCache):
-            self.cache = cache
-        else:
+        if cache is True:
+            cache = ConcurrentQueryCache()
+        elif cache is not None and cache is not False and not isinstance(
+            cache, ConcurrentQueryCache
+        ):
             raise TypeError(
                 "config.cache must be a ConcurrentQueryCache, True, or "
                 f"None, not {cache!r}"
             )
-        #: Integrity constraints declared over the shared database.
-        self.constraints: List[object] = []
-        #: Per-statement log with slow-query attribution (kind carries
-        #: the client id).
-        self.query_log = QueryLog(
-            slow_threshold=self.config.slow_query_threshold
+        #: How every request's statements run: the physical engine, the
+        #: optimizer, the shared cache, the lint mode, the integrity
+        #: constraints declared over the shared database, and the
+        #: per-statement log with slow-query attribution (kind carries
+        #: the client id).  Every connection shares it.
+        self.session = Session(
+            self.database,
+            use_optimizer=self.config.optimize,
+            cache=cache,
+            lint=self.config.lint,
+            query_log=QueryLog(slow_threshold=self.config.slow_query_threshold),
         )
         self._server: Optional[asyncio.base_events.Server] = None
         self._executor = concurrent.futures.ThreadPoolExecutor(
@@ -229,7 +224,7 @@ class QueryServer:
                 stats=self.stats_payload,
                 slowlog=lambda: [
                     record.to_record()
-                    for record in self.query_log.tail(limit=100)
+                    for record in self.session.query_log.tail(limit=100)
                 ],
             )
             await self.telemetry.start()
@@ -313,8 +308,8 @@ class QueryServer:
             ],
             "metrics": registry.snapshot(),
             "querylog": {
-                "recorded": self.query_log.recorded,
-                "slow": self.query_log.slow_count,
+                "recorded": self.session.query_log.recorded,
+                "slow": self.session.query_log.slow_count,
             },
         }
 
@@ -544,7 +539,7 @@ class QueryServer:
             self._emit_session_gauges(session)
             response["resources"] = account.to_dict()
         if op in ("xra", "sql"):
-            self.query_log.record(
+            self.session.query_log.record(
                 kind=f"client-{session.client_id}:{op}",
                 text=text,
                 seconds=seconds,
@@ -630,7 +625,7 @@ class QueryServer:
         # xra / sql
         text = message["q"]
         if op == "xra":
-            report = session.lint_gate(text)
+            report = self.session.lint_script(text)
             parsed = session.parse_xra(text)
         else:
             report = None
@@ -648,27 +643,13 @@ class QueryServer:
             response = await self._op_autocommit_write(
                 session, parsed, account
             )
-        if report is not None and self.config.lint == "warn":
+        if report is not None and self.session.lint_mode == "warn":
             findings = [diagnostic.to_dict() for diagnostic in report]
             if findings:
                 response["lint"] = findings
         return response
 
     # -- operations --------------------------------------------------------
-
-    def _make_context(
-        self,
-        relations: Dict[str, Relation],
-        account: Optional[ResourceAccount] = None,
-    ) -> ExecutionContext:
-        return ExecutionContext(
-            relations,
-            use_physical_engine=self.config.engine != "reference",
-            optimizer=optimize if self.config.optimize else None,
-            cache=self.cache,
-            database=self.database,
-            account=account,
-        )
 
     def _pin_context(
         self, account: Optional[ResourceAccount] = None
@@ -679,9 +660,7 @@ class QueryServer:
         snapshot, epochs, and logical time are mutually consistent.
         """
         with obs.span("server.snapshot.pin"):
-            return self._make_context(
-                dict(self.database.snapshot()), account
-            )
+            return self.session.context(account=account)
 
     def _op_begin(self, session: ServerSession) -> Dict[str, Any]:
         session.begin(self._pin_context())
@@ -722,22 +701,10 @@ class QueryServer:
         outputs: List[Relation] = []
         try:
             for item in parsed.items:
-                if isinstance(item, CreateRelation):
+                if isinstance(item, DDL_ITEMS):
                     with self._install_guard():
-                        self.database.create_relation(item.schema)
-                elif isinstance(item, DropRelation):
-                    with self._install_guard():
-                        self.database.drop_relation(item.name)
-                elif isinstance(item, DeclareConstraint):
-                    self.constraints.append(item.constraint)
-                elif isinstance(item, DropConstraint):
-                    self.constraints = [
-                        constraint
-                        for constraint in self.constraints
-                        if getattr(constraint, "name", None) != item.name
-                    ]
+                        item.apply(self.session)
                 else:
-                    assert isinstance(item, (StatementItem, TransactionItem))
                     statements = (
                         [item.statement]
                         if isinstance(item, StatementItem)
@@ -843,10 +810,11 @@ class QueryServer:
         """
         deltas = context.deltas()
         self.database.validate(context.pinned, context.reads, deltas)
-        if self.constraints:
+        constraints = self.session.constraints
+        if constraints:
             await self._run_in_executor(
                 lambda: check_constraints(
-                    self.constraints, self.database.post_state(deltas)
+                    constraints, self.database.post_state(deltas)
                 ),
                 abandoned=abandoned,
             )
@@ -858,8 +826,9 @@ class QueryServer:
 
     def _install_guard(self):
         """Installs synchronize with the cache's epoch snapshots."""
-        if self.cache is not None:
-            return self.cache.synchronized
+        cache = self.session.cache
+        if cache is not None:
+            return cache.synchronized  # type: ignore[attr-defined]
         return contextlib.nullcontext()
 
     async def _acquire_write_lock(self) -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import LintError, ProtocolError
+from repro.errors import ProtocolError
 from repro.language.context import ExecutionContext
 from repro.obs.telemetry import ResourceAccount
 from repro.language.statements import Query, Statement
@@ -32,10 +32,7 @@ from repro.sql.ast import SelectQuery
 from repro.sql.parser import parse_sql
 from repro.sql.translate import translate_statement
 from repro.xra.parser import (
-    CreateRelation,
-    DeclareConstraint,
-    DropConstraint,
-    DropRelation,
+    DDL_ITEMS,
     ScriptItem,
     StatementItem,
     TransactionItem,
@@ -43,10 +40,6 @@ from repro.xra.parser import (
 )
 
 __all__ = ["ServerSession", "ParsedScript"]
-
-#: DDL item classes — applied against the live database, never inside a
-#: pinned transaction.
-_DDL_ITEMS = (CreateRelation, DropRelation, DeclareConstraint, DropConstraint)
 
 
 class ParsedScript:
@@ -59,7 +52,7 @@ class ParsedScript:
         self.statements: List[Statement] = []
         self.has_ddl = False
         for item in self.items:
-            if isinstance(item, _DDL_ITEMS):
+            if isinstance(item, DDL_ITEMS):
                 self.has_ddl = True
             elif isinstance(item, StatementItem):
                 self.statements.append(item.statement)
@@ -113,23 +106,6 @@ class ServerSession:
         else:
             statement = translated
         return ParsedScript([StatementItem(statement)])
-
-    def lint_gate(self, text: str) -> Optional[object]:
-        """Lint an XRA body per the server's lint mode.
-
-        Returns the report (``None`` with lint off); raises
-        :class:`~repro.errors.LintError` in strict mode on error-severity
-        findings — the strict-lint refusal travels as ``REPRO-LINT``.
-        """
-        mode = self.server.config.lint  # type: ignore[attr-defined]
-        if mode is None:
-            return None
-        from repro.lint import lint_script
-
-        report = lint_script(text, self.database.schema.get)
-        if mode == "strict" and not report.ok:
-            raise LintError(report)
-        return report
 
     # -- transaction brackets --------------------------------------------
 

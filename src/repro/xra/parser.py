@@ -71,6 +71,7 @@ __all__ = [
     "StatementItem",
     "TransactionItem",
     "ScriptItem",
+    "DDL_ITEMS",
 ]
 
 
@@ -79,6 +80,9 @@ class CreateRelation:
 
     def __init__(self, schema: RelationSchema) -> None:
         self.schema = schema
+
+    def apply(self, session) -> None:
+        session.database.create_relation(self.schema)
 
     def __repr__(self) -> str:
         return f"create {self.schema!r}"
@@ -90,12 +94,15 @@ class DropRelation:
     def __init__(self, name: str) -> None:
         self.name = name
 
+    def apply(self, session) -> None:
+        session.database.drop_relation(self.name)
+
     def __repr__(self) -> str:
         return f"drop {self.name}"
 
 
 class DeclareConstraint:
-    """DDL item: register an integrity constraint with the interpreter.
+    """DDL item: register an integrity constraint with the session.
 
     Syntax (an extension in the spirit of the paper's reference [11] on
     integrity control)::
@@ -108,6 +115,9 @@ class DeclareConstraint:
     def __init__(self, constraint: object) -> None:
         self.constraint = constraint
 
+    def apply(self, session) -> None:
+        session.declare_constraint(self.constraint)
+
     def __repr__(self) -> str:
         return f"declare {self.constraint!r}"
 
@@ -117,6 +127,9 @@ class DropConstraint:
 
     def __init__(self, name: str) -> None:
         self.name = name
+
+    def apply(self, session) -> None:
+        session.drop_constraint(self.name)
 
     def __repr__(self) -> str:
         return f"drop constraint {self.name}"
@@ -142,6 +155,10 @@ class TransactionItem:
         inner = "; ".join(repr(statement) for statement in self.statements)
         return f"({inner})"
 
+
+#: DDL items: each takes effect on a session's database or constraints
+#: through ``item.apply(session)``, outside any transaction.
+DDL_ITEMS = (CreateRelation, DropRelation, DeclareConstraint, DropConstraint)
 
 ScriptItem = Union[
     CreateRelation,

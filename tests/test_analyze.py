@@ -299,8 +299,7 @@ class TestSessionAnalyze:
 
 class TestXraAnalyze:
     def test_script_reports_collected(self):
-        interp = XRAInterpreter(tiny_beer_database())
-        interp.set_analyze(True)
+        interp = XRAInterpreter(Session(tiny_beer_database(), analyze=True))
         result = interp.run("? sel[%3 > 5](beer); ? proj[%1](beer);")
         assert len(result.analyze_reports) == 2
         assert len(result.outputs) == 2
@@ -313,8 +312,7 @@ class TestXraAnalyze:
         assert result.analyze_reports == []
 
     def test_writes_still_run_as_transactions(self):
-        interp = XRAInterpreter(tiny_beer_database())
-        interp.set_analyze(True)
+        interp = XRAInterpreter(Session(tiny_beer_database(), analyze=True))
         result = interp.run(
             "insert(beer, tuples[('New', 'Brew', 5.0)]); ? beer;"
         )
@@ -345,6 +343,16 @@ class TestCliAnalyze:
         assert "EXPLAIN ANALYZE" in out
         assert "Dubbel" in out  # the result still prints
         assert len(shell.analyze_reports) == 1
+
+    def test_command_and_mode_feed_one_catalog(self):
+        out, err, shell = self.run_shell(
+            ".analyze sel[%3 > 5](beer)\n.analyze on\n? proj[%1](beer);\n"
+        )
+        assert not err
+        command, statement = shell.analyze_reports
+        observed = shell.session.analyze_catalog().observed
+        for report in (command, statement):
+            assert report.operators[0].fingerprint in observed
 
     def test_analyze_bad_query_reports_error(self):
         out, err, _shell = self.run_shell(".analyze sel[%3 > 5](nothere)\n")

@@ -329,7 +329,7 @@ class TestQueryCache:
     def test_xra_interpreter_shares_the_cache(self, env):
         database = make_database(env)
         cache = QueryCache()
-        interpreter = XRAInterpreter(database, cache=cache)
+        interpreter = XRAInterpreter(Session(database, cache=cache))
         session = Session(database, cache=cache)
         interpreter.run("? sel[%1 > 1](t1);")
         session.query(session.relation("t1").select("%1 > 1"))

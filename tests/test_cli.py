@@ -77,6 +77,21 @@ class TestMetaCommands:
         assert "ok" in out
         assert not db["beer"]
 
+    def test_xra_constraint_refuses_sql_dml(self):
+        db = tiny_beer_database()
+        out, err = run_shell(
+            "constraint check alc_pos on beer [alcperc > 0.0];\n"
+            "insert(beer, tuples[('a', 'x', -1.0)]);\n"
+            ".sql INSERT INTO beer VALUES ('b', 'y', -2.0)\n",
+            db,
+        )
+        assert not err
+        # Both writes abort: the SQL path checks the XRA declaration too.
+        assert out.count("aborted:") == 2
+        assert "ok (t=" not in out
+        assert db.logical_time == 0
+        assert ("b", "y", -2.0) not in db["beer"]
+
     def test_explain(self):
         out, _err = run_shell(
             ".explain proj[%1](sel[%6 = 'Netherlands']"

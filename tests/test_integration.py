@@ -52,7 +52,7 @@ class TestFullStackQuery:
             env,
         )
 
-        xra = XRAInterpreter(db, use_optimizer=False)
+        xra = XRAInterpreter(Session(db, use_optimizer=False))
         xra_result = xra.run("? proj[name](sel[alcperc > 8.0](beer));").outputs[0]
 
         session = Session(db, use_optimizer=False)

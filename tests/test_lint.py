@@ -206,8 +206,7 @@ def test_lint_script_positions_and_ddl_tracking():
 
 def test_lint_script_is_pure_static_analysis():
     db = Database()
-    interpreter = XRAInterpreter(db)
-    interpreter.set_lint("warn")
+    interpreter = XRAInterpreter(Session(db, lint="warn"))
     interpreter.run("create t (a: int);")
     # Linting a script that drops and recreates must not touch the db.
     lint_script("drop t;\n? t;", db.schema.get)
@@ -257,8 +256,7 @@ def test_session_lint_mode_validation():
 
 def test_interpreter_strict_mode_blocks_whole_script():
     db = Database()
-    interpreter = XRAInterpreter(db)
-    interpreter.set_lint("strict")
+    interpreter = XRAInterpreter(Session(db, lint="strict"))
     interpreter.run("create t (a: int);")
     with pytest.raises(LintError):
         interpreter.run(

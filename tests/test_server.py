@@ -29,12 +29,20 @@ from repro.server import (
     serve_in_background,
 )
 from repro.server.client import RemoteError, ServerClient
-from repro.xra import XRAInterpreter
+from repro.language import Session
+from repro.xra import XRAInterpreter, StatementItem, parse_script
 
 SEED_SCRIPT = """
 create acct(owner: string, amount: integer);
 insert(acct, tuples[('alice', 10); ('bob', 20); ('carol', 30)]);
 """
+
+
+def parse_query(text: str, database: Database):
+    """The algebra tree of one XRA query expression."""
+    (item,) = parse_script(f"? {text};", database.schema.get)
+    assert isinstance(item, StatementItem)
+    return item.statement.expression
 
 
 def seeded_database() -> Database:
@@ -102,6 +110,26 @@ def test_tables_and_ping(server) -> None:
         (entry,) = client.tables()
         assert entry["name"] == "acct" and entry["rows"] == 3
         assert client.ping() == 1
+
+
+def test_server_accepts_only_the_physical_engine() -> None:
+    with pytest.raises(ValueError):
+        ServerConfig(engine="reference")
+    assert ServerConfig().engine == "vector"
+
+
+def test_default_server_joins_through_the_physical_engine() -> None:
+    database = seeded_database()
+    expected = Session(
+        database, use_physical_engine=False, use_optimizer=False
+    ).query(parse_query("join[%2 < %4](acct, acct)", database))
+    with serve_in_background(database, ServerConfig()) as handle:
+        with connect(handle) as client:
+            response = client.xra_response("? join[%2 < %4](acct, acct);")
+    (result,) = (relation_from_wire(doc) for doc in response["results"])
+    assert result == expected and len(result) == 3
+    # Only the batch engine's operators hand over batches.
+    assert response["resources"]["batches_vectorized"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +274,7 @@ def test_concurrent_cache_invalidation(server) -> None:
         writer.xra("insert(acct, tuples[('zoe', 7)]);")
         (fresh,) = reader.xra(query)
         assert len(fresh) == len(cold) + 1
-        stats = server.server.cache.stats
+        stats = server.server.session.cache.stats
         assert stats.result_hits >= 1
         assert stats.invalidations + stats.result_misses >= 2
 

@@ -192,11 +192,11 @@ def test_a_repeated_query_encodes_nothing_on_its_second_hit(monkeypatch) -> None
             monkeypatch.setattr(json, "dumps", counting_dumps)
             (first,) = client.xra("? proj[%2](t);")
             assert any(_is_document(value) for value in dumped)
-            hits = handle.server.cache.stats.result_hits
+            hits = handle.server.session.cache.stats.result_hits
             dumped.clear()
             (second,) = client.xra("? proj[%2](t);")
             monkeypatch.undo()
-            assert handle.server.cache.stats.result_hits == hits + 1
+            assert handle.server.session.cache.stats.result_hits == hits + 1
     # Only the request and the reply envelope were encoded, no relation.
     assert dumped and not any(_is_document(value) for value in dumped), dumped
     assert not any("results" in value for value in dumped), dumped

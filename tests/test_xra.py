@@ -5,6 +5,7 @@ import pytest
 from repro.database import Database
 from repro.errors import XRAParseError
 from repro.extensions import DomainConstraint
+from repro.language import Session
 from repro.xra import (
     CreateRelation,
     StatementItem,
@@ -171,8 +172,12 @@ class TestInterpreter:
 
     def test_constraints_checked_at_commit(self, db):
         xra = XRAInterpreter(
-            db,
-            constraints=[DomainConstraint("positive", "beer", "alcperc > 0.0")],
+            Session(
+                db,
+                constraints=[
+                    DomainConstraint("positive", "beer", "alcperc > 0.0")
+                ],
+            )
         )
         result = xra.run("insert(beer, tuples[('Bad', 'X', -1.0)]);")
         assert not result.committed
@@ -207,7 +212,9 @@ class TestInterpreter:
         assert "scratch" not in db
 
     def test_reference_engine_option(self, db):
-        xra = XRAInterpreter(db, use_physical_engine=False, use_optimizer=False)
+        xra = XRAInterpreter(
+            Session(db, use_physical_engine=False, use_optimizer=False)
+        )
         result = xra.run("? proj[name](beer);")
         assert result.outputs[0].multiplicity(("Pils",)) == 2
 
