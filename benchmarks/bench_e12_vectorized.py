@@ -1,8 +1,8 @@
-"""E12 — the physical (columnar batch) engine on its three target shapes.
+"""E12 — the physical (batch) engine on its three target shapes.
 
 The paper's cost argument (bag semantics keeps pipelines cheap because
 nothing forces duplicate elimination) is about *algebraic* cost; this
-bench measures the *physical* layer built on top of it: the columnar
+bench measures the *physical* layer built on top of it: the
 batch operators with compiled expression kernels
 (:mod:`repro.engine.vector`, what every ``Session`` runs) on three
 workload shapes:

@@ -5,7 +5,7 @@ Two engines compute identical results (tested against each other):
 * :func:`evaluate` — the reference evaluator; a literal transliteration
   of the paper's multiplicity equations (semantic ground truth);
 * :func:`execute` — the physical engine; hash joins, hash group-by,
-  pipelined selections/projections over column batches with compiled
+  pipelined selections/projections over row batches with compiled
   expression kernels (:mod:`repro.engine.vector`).
 
 Plus the planner's supporting cast: :class:`StatisticsCatalog` and
@@ -28,7 +28,7 @@ from repro.engine.statistics import (
     estimate_cardinality,
 )
 from repro.engine.vector import (
-    ColumnBatch,
+    Batch,
     VectorOp,
     collect_batches,
     plan_vector,
@@ -41,7 +41,7 @@ __all__ = [
     "plan_physical",
     "plan_vector",
     "VectorOp",
-    "ColumnBatch",
+    "Batch",
     "collect_batches",
     "execute",
     "execute_profiled",

@@ -1,7 +1,7 @@
-"""The physical executor: columnar batch operators.
+"""The physical executor: batch operators.
 
-Relations stream as :class:`ColumnBatch` chunks — one value list per
-attribute plus a multiplicity column — and predicates, projections, and
+Relations stream as :class:`Batch` chunks — a list of rows plus a
+parallel list of multiplicities — and predicates, projections, and
 join/group keys run as Python closures compiled by
 :mod:`repro.expressions.compile` instead of being interpreted per row.
 
@@ -12,7 +12,7 @@ and when an expression falls back to the AST interpreter.
 """
 
 from repro.engine.vector.batch import (
-    ColumnBatch,
+    Batch,
     DEFAULT_BATCH_SIZE,
 )
 from repro.engine.vector.operators import (
@@ -36,7 +36,7 @@ from repro.engine.vector.operators import (
 from repro.engine.vector.planner import plan_vector
 
 __all__ = [
-    "ColumnBatch",
+    "Batch",
     "DEFAULT_BATCH_SIZE",
     "VectorOp",
     "VScanOp",

@@ -1,14 +1,14 @@
-"""Batch-at-a-time physical operators over :class:`ColumnBatch` chunks.
+"""Batch-at-a-time physical operators over :class:`Batch` chunks.
 
 The one physical executor.  Every operator implements the bag semantics
 of its algebra operator exactly — the differential corpus
 (``tests/test_differential.py``) pins results to the reference
 evaluator.  Predicates, projections, and key extraction run as compiled
-batch kernels (:mod:`repro.expressions.compile`) over whole columns,
-falling back to the AST interpreter row path when an expression cannot
-be lowered (MONEY arithmetic, extension expressions).
+batch kernels (:mod:`repro.expressions.compile`) over a batch's row
+list, falling back to the AST interpreter row path when an expression
+cannot be lowered (MONEY arithmetic, extension expressions).
 
-Operators exchange only :class:`ColumnBatch` chunks, and every stream is
+Operators exchange only :class:`Batch` chunks, and every stream is
 pulled through :func:`child_batches`, where the profiler's meter counts
 it.  Extension nodes (transitive closure) batch the relation the
 reference evaluator computes for them.
@@ -25,20 +25,17 @@ from repro.aggregates import AggregateFunction, Count, Sum
 from repro.domains import INTEGER
 from repro.engine.profiler import Meter, active_meter, record_of
 from repro.engine.vector.batch import (
-    ColumnBatch,
+    Batch,
     DEFAULT_BATCH_SIZE,
     batches_from_lists,
 )
 from repro.errors import UnboundAttributeError, UnknownRelationError
-from repro.expressions import AttrRef, ScalarExpr
+from repro.expressions import ScalarExpr
 from repro.expressions.compile import (
     _materialize,
     compile_filter_kernel,
-    compile_filter_kernel_rows,
     compile_key_kernel,
-    compile_key_kernel_rows,
     compile_map_kernel,
-    compile_map_kernel_rows,
     compile_row,
 )
 from repro.multiset import Multiset
@@ -68,7 +65,7 @@ __all__ = [
 
 def child_batches(
     op: "VectorOp", env: Dict[str, Relation]
-) -> Iterator[ColumnBatch]:
+) -> Iterator[Batch]:
     """Pull an operator's batches: the one place operators are counted.
 
     While a meter is active on the thread
@@ -85,7 +82,7 @@ def child_batches(
 
 def _metered_batches(
     op: "VectorOp", env: Dict[str, Relation], meter: Meter
-) -> Iterator[ColumnBatch]:
+) -> Iterator[Batch]:
     """Yield ``op``'s batches unchanged, counting and timing them."""
     record = record_of(meter, op, op.op_class())
     record.invocations += 1
@@ -102,8 +99,8 @@ def _metered_batches(
     record.seconds += clock() - start
 
 
-def _relation_batches(relation: Relation, batch_size: int) -> Iterator[ColumnBatch]:
-    """Chunk a materialised relation into row-backed batches."""
+def _relation_batches(relation: Relation, batch_size: int) -> Iterator[Batch]:
+    """Chunk a materialised relation into batches."""
     return batches_from_lists(
         relation.rows_list(),
         relation.counts_list(),
@@ -113,7 +110,7 @@ def _relation_batches(relation: Relation, batch_size: int) -> Iterator[ColumnBat
 
 
 class VectorOp:
-    """Base class: a physical operator producing :class:`ColumnBatch` chunks.
+    """Base class: a physical operator producing :class:`Batch` chunks.
 
     ``batches(env)`` returns a fresh batch stream; operators are
     reusable (each call re-executes the subtree).
@@ -134,7 +131,7 @@ class VectorOp:
         self.schema = schema
         self.batch_size = batch_size
 
-    def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
+    def batches(self, env: Dict[str, Relation]) -> Iterator[Batch]:
         raise NotImplementedError
 
     def children(self) -> Tuple["VectorOp", ...]:
@@ -168,7 +165,7 @@ class VectorOp:
 
 
 class VScanOp(VectorOp):
-    """Scan a named database relation in column batches."""
+    """Scan a named database relation in batches."""
 
     __slots__ = ("name",)
     consolidated = True  # relation pairs enumerate distinct rows
@@ -179,7 +176,7 @@ class VScanOp(VectorOp):
         super().__init__(schema, batch_size)
         self.name = name
 
-    def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
+    def batches(self, env: Dict[str, Relation]) -> Iterator[Batch]:
         try:
             relation = env[self.name]
         except KeyError:
@@ -192,7 +189,7 @@ class VScanOp(VectorOp):
 
 
 class VLiteralOp(VectorOp):
-    """Stream a constant relation in column batches."""
+    """Stream a constant relation in batches."""
 
     __slots__ = ("relation",)
     consolidated = True
@@ -203,47 +200,29 @@ class VLiteralOp(VectorOp):
         super().__init__(relation.schema, batch_size)
         self.relation = relation
 
-    def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
+    def batches(self, env: Dict[str, Relation]) -> Iterator[Batch]:
         return _relation_batches(self.relation, self.batch_size)
 
     def label(self) -> str:
         return f"v-literal[{len(self.relation)}]"
 
 
-def _compress(batch: ColumnBatch, selected: Sequence[int]) -> ColumnBatch:
+def _compress(batch: Batch, selected: Sequence[int]) -> Batch:
     """A new batch holding only the selected row indices.
 
-    Compresses whichever layout the input batch already holds — one
-    C-speed ``map`` per cached row list (or per column), never a
-    transpose.
+    One C-speed ``map`` over the row list and one over the counts.
     """
-    counts = list(map(batch.counts.__getitem__, selected))
-    if batch.has_rows:
-        rows = batch.rows()
-        return ColumnBatch.from_rows(
-            list(map(rows.__getitem__, selected)), counts, batch.width
-        )
-    columns = tuple(
-        list(map(column.__getitem__, selected)) for column in batch.columns
+    return Batch(
+        list(map(batch.rows.__getitem__, selected)),
+        list(map(batch.counts.__getitem__, selected)),
+        batch.degree,
     )
-    return ColumnBatch(columns, counts)
 
 
 class VFilterOp(VectorOp):
-    """Batch selection through a compiled, conjunction-fused kernel.
+    """Batch selection through a compiled, conjunction-fused kernel."""
 
-    The row-layout kernel compiles with the plan; the column-layout
-    twin compiles on the first column-backed batch (scans hand over
-    row-backed batches, so most filters never need it).
-    """
-
-    __slots__ = (
-        "condition",
-        "child",
-        "row_kernel",
-        "_column_kernel",
-        "fallback",
-    )
+    __slots__ = ("condition", "child", "kernel", "fallback")
 
     def __init__(
         self,
@@ -254,11 +233,10 @@ class VFilterOp(VectorOp):
         super().__init__(child.schema, batch_size)
         self.condition = condition
         self.child = child
-        self.row_kernel = compile_filter_kernel_rows(condition, child.schema)
+        self.kernel = compile_filter_kernel(condition, child.schema)
         self.fallback = (
-            condition.bind(child.schema) if self.row_kernel is None else None
+            condition.bind(child.schema) if self.kernel is None else None
         )
-        self._column_kernel = None
 
     @property
     def consolidated(self) -> bool:
@@ -268,30 +246,21 @@ class VFilterOp(VectorOp):
     def children(self) -> Tuple[VectorOp, ...]:
         return (self.child,)
 
-    def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
-        row_kernel = self.row_kernel
+    def batches(self, env: Dict[str, Relation]) -> Iterator[Batch]:
+        kernel = self.kernel
         predicate = self.fallback
         for batch in child_batches(self.child, env):
             size = len(batch.counts)
             if not size:
                 continue
-            if row_kernel is None:
+            if kernel is None:
                 selected = [
                     index
-                    for index, row in enumerate(batch.rows())
+                    for index, row in enumerate(batch.rows)
                     if predicate(row)
                 ]
-            elif batch.has_columns:
-                kernel = self._column_kernel
-                if kernel is None:
-                    # Both layouts lower the same condition, so this
-                    # succeeds whenever the row kernel did.
-                    kernel = self._column_kernel = compile_filter_kernel(
-                        self.condition, self.schema
-                    )
-                selected = kernel(batch.columns, size)
             else:
-                selected = row_kernel(batch.rows(), size)
+                selected = kernel(batch.rows, size)
             hits = len(selected)
             if not hits:
                 continue
@@ -301,12 +270,12 @@ class VFilterOp(VectorOp):
             yield _compress(batch, selected)
 
     def label(self) -> str:
-        fallback = " (interpreted)" if self.row_kernel is None else ""
+        fallback = " (interpreted)" if self.kernel is None else ""
         return f"v-filter [{self.condition!r}]{fallback}"
 
 
 class VProjectOp(VectorOp):
-    """Positional projection: alias the kept columns, copy nothing."""
+    """Positional projection: one C-speed ``itemgetter`` pass per batch."""
 
     __slots__ = ("positions", "child", "_row_project")
 
@@ -325,22 +294,11 @@ class VProjectOp(VectorOp):
     def children(self) -> Tuple[VectorOp, ...]:
         return (self.child,)
 
-    def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
-        positions = self.positions
+    def batches(self, env: Dict[str, Relation]) -> Iterator[Batch]:
         project_rows = self._row_project
-        degree = len(positions)
+        degree = len(self.positions)
         for batch in child_batches(self.child, env):
-            if batch.has_columns:
-                columns = batch.columns
-                yield ColumnBatch(
-                    tuple(columns[index] for index in positions), batch.counts
-                )
-            else:
-                # Row-backed input: one C-speed itemgetter pass, no
-                # transpose.
-                yield ColumnBatch.from_rows(
-                    project_rows(batch.rows()), batch.counts, degree
-                )
+            yield Batch(project_rows(batch.rows), batch.counts, degree)
 
     def label(self) -> str:
         attrs = ", ".join(f"%{index + 1}" for index in self.positions)
@@ -364,20 +322,12 @@ def _row_projector(
 class VMapOp(VectorOp):
     """Extended projection through a fused batch kernel.
 
-    Plain attribute references alias their input column (zero copy);
-    the remaining expressions are computed by one fused kernel pass.
-    Falls back to bound row functions when any expression refuses to
-    lower (e.g. MONEY arithmetic).
+    One kernel pass builds every output tuple of a batch.  Falls back to
+    bound row functions when any expression refuses to lower (e.g.
+    MONEY arithmetic).
     """
 
-    __slots__ = (
-        "expressions",
-        "child",
-        "_plan",
-        "kernel",
-        "row_kernel",
-        "row_functions",
-    )
+    __slots__ = ("expressions", "child", "kernel", "row_functions")
 
     def __init__(
         self,
@@ -390,70 +340,29 @@ class VMapOp(VectorOp):
         self.expressions = tuple(expressions)
         self.child = child
         operand_schema = child.schema
-        # Output recipe: ("alias", input column) or ("computed", kernel slot).
-        plan: List[Tuple[str, int]] = []
-        computed: List[ScalarExpr] = []
-        for expression in self.expressions:
-            if isinstance(expression, AttrRef):
-                plan.append(("alias", operand_schema.resolve(expression.ref) - 1))
-            else:
-                plan.append(("computed", len(computed)))
-                computed.append(expression)
-        kernel = (
-            compile_map_kernel(computed, operand_schema) if computed else None
+        self.kernel = compile_map_kernel(self.expressions, operand_schema)
+        self.row_functions = (
+            tuple(expression.bind(operand_schema) for expression in self.expressions)
+            if self.kernel is None
+            else None
         )
-        if computed and kernel is None:
-            self._plan = None
-            self.kernel = None
-            self.row_kernel = None
-            self.row_functions = tuple(
-                expression.bind(operand_schema)
-                for expression in self.expressions
-            )
-        else:
-            self._plan = tuple(plan)
-            self.kernel = kernel
-            # Row-layout twin building whole output tuples in one pass
-            # (attribute references included) for row-backed inputs.
-            self.row_kernel = compile_map_kernel_rows(
-                self.expressions, operand_schema
-            )
-            self.row_functions = None
 
     def children(self) -> Tuple[VectorOp, ...]:
         return (self.child,)
 
-    def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
-        recipe = self._plan
+    def batches(self, env: Dict[str, Relation]) -> Iterator[Batch]:
         kernel = self.kernel
-        row_kernel = self.row_kernel
+        functions = self.row_functions
         degree = self.schema.degree
         for batch in child_batches(self.child, env):
-            if recipe is None:
-                functions = self.row_functions
+            if kernel is None:
                 rows = [
                     tuple(function(row) for function in functions)
-                    for row in batch.rows()
+                    for row in batch.rows
                 ]
-                yield ColumnBatch.from_rows(rows, batch.counts, degree)
-                continue
-            if row_kernel is not None and not batch.has_columns:
-                yield ColumnBatch.from_rows(
-                    row_kernel(batch.rows(), len(batch.counts)),
-                    batch.counts,
-                    degree,
-                )
-                continue
-            computed = (
-                kernel(batch.columns, len(batch.counts))
-                if kernel is not None
-                else ()
-            )
-            columns = tuple(
-                batch.columns[index] if kind == "alias" else computed[index]
-                for kind, index in recipe
-            )
-            yield ColumnBatch(columns, batch.counts)
+            else:
+                rows = kernel(batch.rows, len(batch.counts))
+            yield Batch(rows, batch.counts, degree)
 
     def label(self) -> str:
         fallback = " (interpreted)" if self.row_functions is not None else ""
@@ -478,7 +387,7 @@ class VUnionOp(VectorOp):
     def children(self) -> Tuple[VectorOp, ...]:
         return (self.left, self.right)
 
-    def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
+    def batches(self, env: Dict[str, Relation]) -> Iterator[Batch]:
         yield from child_batches(self.left, env)
         yield from child_batches(self.right, env)
 
@@ -493,18 +402,18 @@ def _consolidated_counts(
     if op.consolidated:
         counts: Dict[Row, int] = {}
         for batch in child_batches(op, env):
-            counts.update(zip(batch.rows(), batch.counts))
+            counts.update(zip(batch.rows, batch.counts))
         return counts
     totals: Dict[Row, int] = defaultdict(int)
     for batch in child_batches(op, env):
-        for row, count in zip(batch.rows(), batch.counts):
+        for row, count in zip(batch.rows, batch.counts):
             totals[row] += count
     return totals
 
 
 def _survivor_batches(
     survivors: Dict[Row, int], degree: int, batch_size: int
-) -> Iterator[ColumnBatch]:
+) -> Iterator[Batch]:
     """Batch the rows left with a positive multiplicity."""
     return batches_from_lists(
         list(survivors), list(survivors.values()), degree, batch_size
@@ -530,7 +439,7 @@ class VDifferenceOp(VectorOp):
     def children(self) -> Tuple[VectorOp, ...]:
         return (self.left, self.right)
 
-    def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
+    def batches(self, env: Dict[str, Relation]) -> Iterator[Batch]:
         left_counts = _consolidated_counts(self.left, env)
         right_counts = _consolidated_counts(self.right, env)
         get = right_counts.get
@@ -564,7 +473,7 @@ class VIntersectOp(VectorOp):
     def children(self) -> Tuple[VectorOp, ...]:
         return (self.left, self.right)
 
-    def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
+    def batches(self, env: Dict[str, Relation]) -> Iterator[Batch]:
         left_counts = _consolidated_counts(self.left, env)
         right_counts = _consolidated_counts(self.right, env)
         survivors = {
@@ -625,10 +534,11 @@ def _compile_probe(
 class VHashJoinOp(VectorOp):
     """Equi-join with batch key kernels and a compiled probe loop.
 
-    Keys are extracted per batch — plain attribute keys alias the key
-    column outright — then a plan-time-generated build/probe runs over
-    the row-wise view, multiplying multiplicities as the product
-    semantics requires.  With ``output_positions`` the planner fuses a
+    Keys are extracted per batch — plain attribute keys by one C-speed
+    ``itemgetter`` pass — then a plan-time-generated build/probe runs
+    over the row lists, multiplying multiplicities as the product
+    semantics requires.  A key expression that cannot be lowered (MONEY
+    arithmetic) is extracted row by row through :func:`_row_key`.  With ``output_positions`` the planner fuses a
     parent projection into the join: the probe emits projected tuples
     directly and the concatenated row is never built (unless a residual
     predicate needs it).
@@ -641,8 +551,6 @@ class VHashJoinOp(VectorOp):
         "right_exprs",
         "left_kernel",
         "right_kernel",
-        "left_row_kernel",
-        "right_row_kernel",
         "left_fallback",
         "right_fallback",
         "residual_expr",
@@ -670,12 +578,6 @@ class VHashJoinOp(VectorOp):
         self.right_exprs = tuple(right_exprs)
         self.left_kernel = compile_key_kernel(self.left_exprs, left.schema)
         self.right_kernel = compile_key_kernel(self.right_exprs, right.schema)
-        self.left_row_kernel = compile_key_kernel_rows(
-            self.left_exprs, left.schema
-        )
-        self.right_row_kernel = compile_key_kernel_rows(
-            self.right_exprs, right.schema
-        )
         self.left_fallback = (
             _row_key(self.left_exprs, left.schema)
             if self.left_kernel is None
@@ -716,36 +618,22 @@ class VHashJoinOp(VectorOp):
     def children(self) -> Tuple[VectorOp, ...]:
         return (self.left, self.right)
 
+    @staticmethod
     def _keys(
-        self,
-        batch: ColumnBatch,
         kernel: Optional[Callable],
-        row_kernel: Optional[Callable],
         fallback: Optional[Callable[[Row], Any]],
         rows: Sequence[Row],
     ) -> Sequence[Any]:
-        # The probe/build loops force rows anyway, so the row kernel is
-        # the default; already-columnar batches alias key columns instead.
-        if kernel is not None and batch.has_columns:
-            return kernel(batch.columns, len(batch.counts))
-        if row_kernel is not None:
-            return row_kernel(rows, len(batch.counts))
         if kernel is not None:
-            return kernel(batch.columns, len(batch.counts))
+            return kernel(rows, len(rows))
         return [fallback(row) for row in rows]
 
-    def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
+    def batches(self, env: Dict[str, Relation]) -> Iterator[Batch]:
         table: Dict[Any, List[Tuple[Row, int]]] = {}
         setdefault = table.setdefault
         for batch in child_batches(self.right, env):
-            rows = batch.rows()
-            keys = self._keys(
-                batch,
-                self.right_kernel,
-                self.right_row_kernel,
-                self.right_fallback,
-                rows,
-            )
+            rows = batch.rows
+            keys = self._keys(self.right_kernel, self.right_fallback, rows)
             for key, row, count in zip(keys, rows, batch.counts):
                 setdefault(key, []).append((row, count))
         if not table:
@@ -755,14 +643,8 @@ class VHashJoinOp(VectorOp):
         probe = self._probe
         get = table.get
         for batch in child_batches(self.left, env):
-            rows = batch.rows()
-            keys = self._keys(
-                batch,
-                self.left_kernel,
-                self.left_row_kernel,
-                self.left_fallback,
-                rows,
-            )
+            rows = batch.rows
+            keys = self._keys(self.left_kernel, self.left_fallback, rows)
             out_rows: List[Row] = []
             out_counts: List[int] = []
             probe(
@@ -775,7 +657,7 @@ class VHashJoinOp(VectorOp):
                 out_counts.append,
             )
             if out_rows:
-                yield ColumnBatch.from_rows(out_rows, out_counts, degree)
+                yield Batch(out_rows, out_counts, degree)
 
     def label(self) -> str:
         suffix = " +residual" if self.residual is not None else ""
@@ -800,7 +682,7 @@ class VNestedLoopJoinOp(VectorOp):
     both.  The right operand is materialised once; each left batch is
     crossed with it in chunks of about ``batch_size`` output rows, and
     the predicate — none for ×, φ for a θ-join — runs over each chunk as
-    a compiled row-layout filter kernel.  Multiplicities multiply.
+    a compiled filter kernel.  Multiplicities multiply.
     """
 
     __slots__ = ("left", "right", "predicate", "kernel", "fallback")
@@ -821,7 +703,7 @@ class VNestedLoopJoinOp(VectorOp):
         self.fallback = None
         if predicate is not None:
             combined = left.schema.concat(right.schema)
-            self.kernel = compile_filter_kernel_rows(predicate, combined)
+            self.kernel = compile_filter_kernel(predicate, combined)
             if self.kernel is None:
                 self.fallback = predicate.bind(combined)
 
@@ -834,11 +716,11 @@ class VNestedLoopJoinOp(VectorOp):
     def children(self) -> Tuple[VectorOp, ...]:
         return (self.left, self.right)
 
-    def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
+    def batches(self, env: Dict[str, Relation]) -> Iterator[Batch]:
         right_rows: List[Row] = []
         right_counts: List[int] = []
         for batch in child_batches(self.right, env):
-            right_rows.extend(batch.rows())
+            right_rows.extend(batch.rows)
             right_counts.extend(batch.counts)
         if not right_rows:
             return
@@ -848,7 +730,7 @@ class VNestedLoopJoinOp(VectorOp):
         degree = self.schema.degree
         step = max(1, self.batch_size // len(right_rows))
         for batch in child_batches(self.left, env):
-            left_rows = batch.rows()
+            left_rows = batch.rows
             left_counts = batch.counts
             for start in range(0, len(left_counts), step):
                 stop = start + step
@@ -862,7 +744,7 @@ class VNestedLoopJoinOp(VectorOp):
                     for count in left_counts[start:stop]
                     for right_count in right_counts
                 ]
-                chunk = ColumnBatch.from_rows(rows, counts, degree)
+                chunk = Batch(rows, counts, degree)
                 if not filtered:
                     yield chunk
                     continue
@@ -901,19 +783,19 @@ class VDistinctOp(VectorOp):
     def children(self) -> Tuple[VectorOp, ...]:
         return (self.child,)
 
-    def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
+    def batches(self, env: Dict[str, Relation]) -> Iterator[Batch]:
         seen: set[Row] = set()
         add = seen.add
         degree = self.schema.degree
         for batch in child_batches(self.child, env):
             fresh: List[Row] = []
             push = fresh.append
-            for row in batch.rows():
+            for row in batch.rows:
                 if row not in seen:
                     add(row)
                     push(row)
             if fresh:
-                yield ColumnBatch.from_rows(fresh, [1] * len(fresh), degree)
+                yield Batch(fresh, [1] * len(fresh), degree)
 
     def label(self) -> str:
         return "v-distinct"
@@ -974,11 +856,11 @@ def _param_overrun(param_index: int, width: int) -> UnboundAttributeError:
 
 
 class VGroupByOp(VectorOp):
-    """Hash aggregation over key columns.
+    """Hash aggregation through a generated accumulation loop.
 
-    Group keys come straight off the key columns (a C-speed ``zip``);
-    aggregate inputs are the parameter column (or the row view) weighted
-    by multiplicity.  Per-group bags stay :class:`~repro.multiset.Multiset`
+    The loop reads group keys and the aggregate parameter straight off
+    each row by literal index, weighted by multiplicity (see
+    :func:`_compile_group_accumulator`).  Per-group bags stay :class:`~repro.multiset.Multiset`
     instances so every aggregate — including the partial ones that raise
     :class:`~repro.errors.EmptyAggregateError` — computes exactly as in
     the reference evaluator.  The empty-grouping form emits exactly one tuple,
@@ -1025,7 +907,7 @@ class VGroupByOp(VectorOp):
     def children(self) -> Tuple[VectorOp, ...]:
         return (self.child,)
 
-    def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
+    def batches(self, env: Dict[str, Relation]) -> Iterator[Batch]:
         positions = self.positions
         single = len(positions) == 1
         fold = self.fold
@@ -1043,27 +925,25 @@ class VGroupByOp(VectorOp):
             accumulate = _compile_group_accumulator(positions, param_index, fold)
         accumulator = groups if fold == "bag" else totals
         for batch in child_batches(self.child, env):
-            if param_index is not None and param_index >= batch.width:
-                raise _param_overrun(param_index, batch.width)
+            if param_index is not None and param_index >= batch.degree:
+                raise _param_overrun(param_index, batch.degree)
             try:
                 if accumulate is None:
                     # Empty grouping: one bag for the single () group.
                     bag = groups[()]
                     if param_index is not None:
-                        values: Sequence[Any] = (
-                            batch.columns[param_index]
-                            if batch.has_columns
-                            else map(itemgetter(param_index), batch.rows())
+                        values: Sequence[Any] = map(
+                            itemgetter(param_index), batch.rows
                         )
                     else:
-                        values = batch.rows()
+                        values = batch.rows
                     for value, count in zip(values, batch.counts):
                         bag[value] += count
                 else:
-                    accumulate(batch.rows(), batch.counts, accumulator)
+                    accumulate(batch.rows, batch.counts, accumulator)
             except IndexError:
                 # A row narrower than its schema promises.
-                width = min(map(len, batch.rows()))
+                width = min(map(len, batch.rows))
                 if param_index is not None and param_index >= width:
                     raise _param_overrun(param_index, width) from None
                 raise UnboundAttributeError(
@@ -1076,7 +956,7 @@ class VGroupByOp(VectorOp):
             # One output row even on empty input (partial aggregates
             # raise EmptyAggregateError from compute, as the reference
             # evaluator does).
-            yield ColumnBatch.from_rows(
+            yield Batch(
                 [(compute(Multiset._from_counts(counts)),)], [1], 1
             )
             return
@@ -1093,7 +973,7 @@ class VGroupByOp(VectorOp):
         else:
             out_rows = [key + (value,) for key, value in results]
         if out_rows:
-            yield ColumnBatch.from_rows(
+            yield Batch(
                 out_rows, [1] * len(out_rows), self.schema.degree
             )
 
@@ -1116,7 +996,7 @@ class VExtensionOp(VectorOp):
         super().__init__(expr.schema, batch_size)
         self.expr = expr
 
-    def batches(self, env: Dict[str, Relation]) -> Iterator[ColumnBatch]:
+    def batches(self, env: Dict[str, Relation]) -> Iterator[Batch]:
         from repro.engine.evaluator import evaluate
 
         return _relation_batches(evaluate(self.expr, env), self.batch_size)
@@ -1135,13 +1015,13 @@ def collect_batches(op: VectorOp, env: Dict[str, Relation]) -> Relation:
     if op.consolidated:
         counts: Dict[Row, int] = {}
         for batch in batches:
-            counts.update(zip(batch.rows(), batch.counts))
+            counts.update(zip(batch.rows, batch.counts))
     else:
         # defaultdict, not Counter: a distinct-heavy stream misses on
         # almost every row, and defaultdict.__missing__ is C-level.
         totals: Dict[Row, int] = defaultdict(int)
         for batch in batches:
-            for row, count in zip(batch.rows(), batch.counts):
+            for row, count in zip(batch.rows, batch.counts):
                 totals[row] += count
         counts = dict(totals)
     # Batch streams carry positive counts by invariant; adopt directly.

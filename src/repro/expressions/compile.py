@@ -8,26 +8,20 @@ generated Python function compiled once with :func:`compile`, so a
 predicate like ``(%3 * 1.1 > 5.0) and (%2 <> 'x')`` evaluates in one
 frame with attribute positions resolved at compile time, not per row.
 
-Three kernel shapes are produced, all used by the vectorized engine
-(:mod:`repro.engine.vector`):
+Four kernel shapes are produced, all used by the physical engine
+(:mod:`repro.engine.vector`); the batch kernels run over a batch's row
+list:
 
 * :func:`compile_row` — a drop-in replacement for ``expr.bind(schema)``:
   a ``Row -> value`` closure.  Falls back to the AST interpreter when
   the expression cannot be lowered, so it is always safe to call.
 * :func:`compile_filter_kernel` — a batch predicate
-  ``(columns, n) -> selected indices`` iterating only the referenced
-  columns; conjunctions are fused into one ``and`` chain inside a
-  single loop.
-* :func:`compile_map_kernel` / :func:`compile_key_kernel` — batch
-  projection kernels producing whole output columns (or join/group key
-  sequences) in one pass.
-
-Every batch kernel comes in two layouts: a *column* form iterating the
-referenced columns (``zip`` over value lists) and a *row* form indexing
-into row tuples (``_r[i]``).  :class:`~repro.engine.vector.batch.ColumnBatch`
-keeps whichever representation it was built from, so operators pick the
-kernel matching the cached layout and never force a transpose just to
-evaluate an expression.
+  ``(rows, n) -> selected indices``; conjunctions are fused into one
+  ``and`` chain inside a single loop.
+* :func:`compile_map_kernel` — a fused extended projection
+  ``(rows, n) -> output rows`` building whole output tuples in one pass.
+* :func:`compile_key_kernel` — hash-join keys ``(rows, n) -> key per
+  row``.
 
 Constants are never spliced into the source: the lowerer binds each one
 to a name in the kernel's namespace.  The generated source therefore
@@ -56,7 +50,7 @@ from __future__ import annotations
 import functools
 from operator import itemgetter
 from types import CodeType
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.domains import MONEY
 from repro.errors import DivisionByZeroError, UnboundAttributeError
@@ -78,13 +72,9 @@ __all__ = [
     "Lowered",
     "try_lower",
     "compile_row",
-    "compile_predicate",
     "compile_filter_kernel",
-    "compile_filter_kernel_rows",
     "compile_map_kernel",
-    "compile_map_kernel_rows",
     "compile_key_kernel",
-    "compile_key_kernel_rows",
 ]
 
 
@@ -93,7 +83,7 @@ class CannotLower(Exception):
 
 
 class Lowered:
-    """A lowered expression: source fragment + referenced columns."""
+    """A lowered expression: source fragment + referenced positions."""
 
     __slots__ = ("source", "refs", "namespace")
 
@@ -132,16 +122,12 @@ _COMPARE_SYMBOLS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=":
 class _Lowerer:
     """Walk one expression, emitting a Python source fragment.
 
-    ``ref_template`` controls how attribute reads render: ``"_r[{0}]"``
-    for row closures, ``"_v{0}"`` for batch kernels where the loop
-    header binds one variable per referenced column.
+    Attribute ``%i`` reads as ``_r[i-1]``, an index into the row tuple
+    the generated function is looking at.
     """
 
-    def __init__(
-        self, schema: RelationSchema, ref_template: str, prefix: str = "_k"
-    ) -> None:
+    def __init__(self, schema: RelationSchema, prefix: str = "_k") -> None:
         self.schema = schema
-        self.ref_template = ref_template
         self.prefix = prefix
         self.refs: set[int] = set()
         self.namespace: Dict[str, Any] = {}
@@ -159,7 +145,7 @@ class _Lowerer:
         if isinstance(expr, AttrRef):
             index = self.schema.resolve(expr.ref) - 1
             self.refs.add(index)
-            return self.ref_template.format(index)
+            return f"_r[{index}]"
         if isinstance(expr, Arith):
             left_domain = expr.left.infer_domain(self.schema)
             right_domain = expr.right.infer_domain(self.schema)
@@ -193,7 +179,6 @@ class _Lowerer:
 def try_lower(
     expr: ScalarExpr,
     schema: RelationSchema,
-    ref_template: str = "_r[{0}]",
     prefix: str = "_k",
 ) -> Optional[Lowered]:
     """Lower ``expr`` to a source fragment, or ``None`` if unsupported.
@@ -204,7 +189,7 @@ def try_lower(
     ``prefix`` namespaces embedded constants so fragments from several
     expressions can share one generated function.
     """
-    lowerer = _Lowerer(schema, ref_template, prefix)
+    lowerer = _Lowerer(schema, prefix)
     try:
         source = lowerer.lower(expr)
     except CannotLower:
@@ -214,8 +199,10 @@ def try_lower(
 
 #: Distinct generated sources kept compiled.  Constants live in the
 #: namespace, not the source, so a query shape compiles once however
-#: its literals vary: 200 analytic_cold-style queries with fresh
-#: literals produce 4 distinct sources.
+#: its literals vary: the two analytic_cold query shapes, each planned
+#: with 20 fresh literals, compile 3 distinct sources (4 once the
+#: group-by accumulator has run; 200 such queries hit the cache 496
+#: times in 500 lookups).
 KERNEL_CACHE_SIZE = 512
 
 
@@ -264,161 +251,20 @@ def compile_row(expr: ScalarExpr, schema: RelationSchema) -> Callable[[Row], Any
     return _materialize(source, lowered.namespace, "_fn")
 
 
-def compile_predicate(
-    condition: ScalarExpr, schema: RelationSchema
-) -> Callable[[Row], bool]:
-    """A compiled boolean row closure (alias of :func:`compile_row`)."""
-    return compile_row(condition, schema)
-
-
 # ---------------------------------------------------------------------------
-# Batch kernels
+# Batch kernels (over a batch's row list)
 # ---------------------------------------------------------------------------
-
-
-def _loop_header(refs: Sequence[int]) -> str:
-    """The ``for`` line iterating exactly the referenced columns."""
-    if len(refs) == 1:
-        index = refs[0]
-        return f"    for _v{index} in _cols[{index}]:\n"
-    variables = ", ".join(f"_v{i}" for i in refs)
-    columns = ", ".join(f"_cols[{i}]" for i in refs)
-    return f"    for {variables} in zip({columns}):\n"
 
 
 def compile_filter_kernel(
     condition: ScalarExpr, schema: RelationSchema
-) -> Optional[Callable[[Sequence[List[Any]], int], Sequence[int]]]:
-    """A batch predicate ``(columns, n) -> selected row indices``.
-
-    The kernel walks only the columns the condition references and
-    evaluates the whole (conjunction-fused) condition in one expression
-    per row.  A condition with no attribute references is evaluated
-    once: the kernel returns ``range(n)`` or ``()``.  Returns ``None``
-    when the condition cannot be lowered.
-    """
-    lowered = try_lower(condition, schema, ref_template="_v{0}")
-    if lowered is None:
-        return None
-    refs = sorted(lowered.refs)
-    if not refs:
-        source = (
-            "def _kernel(_cols, _n):\n"
-            f"    if {lowered.source}:\n"
-            "        return range(_n)\n"
-            "    return ()\n"
-        )
-    else:
-        source = (
-            "def _kernel(_cols, _n):\n"
-            "    _sel = []\n"
-            "    _push = _sel.append\n"
-            "    _i = 0\n"
-            f"{_loop_header(refs)}"
-            f"        if {lowered.source}:\n"
-            "            _push(_i)\n"
-            "        _i += 1\n"
-            "    return _sel\n"
-        )
-    return _materialize(source, lowered.namespace, "_kernel")
-
-
-def compile_map_kernel(
-    expressions: Sequence[ScalarExpr], schema: RelationSchema
-) -> Optional[Callable[[Sequence[List[Any]], int], Tuple[List[Any], ...]]]:
-    """A fused batch projection ``(columns, n) -> output columns``.
-
-    All expressions are evaluated in a single pass over the referenced
-    input columns, appending to one output list per expression.
-    Returns ``None`` unless *every* expression lowers.
-    """
-    lowered: List[Lowered] = []
-    namespace: Dict[str, Any] = {}
-    refs: set[int] = set()
-    for position, expr in enumerate(expressions):
-        # Per-expression constant prefixes keep namespaces disjoint.
-        one = try_lower(expr, schema, ref_template="_v{0}", prefix=f"_c{position}x")
-        if one is None:
-            return None
-        namespace.update(one.namespace)
-        lowered.append(one)
-        refs.update(one.refs)
-    ordered_refs = sorted(refs)
-    lines = ["def _kernel(_cols, _n):\n"]
-    for position in range(len(lowered)):
-        lines.append(f"    _o{position} = []\n")
-        lines.append(f"    _a{position} = _o{position}.append\n")
-    if ordered_refs:
-        lines.append(_loop_header(ordered_refs))
-    else:
-        lines.append("    for _ in range(_n):\n")
-    for position, one in enumerate(lowered):
-        lines.append(f"        _a{position}({one.source})\n")
-    outputs = ", ".join(f"_o{position}" for position in range(len(lowered)))
-    lines.append(f"    return ({outputs}{',' if len(lowered) == 1 else ''})\n")
-    return _materialize("".join(lines), namespace, "_kernel")
-
-
-def compile_key_kernel(
-    expressions: Sequence[ScalarExpr], schema: RelationSchema
-) -> Optional[Callable[[Sequence[List[Any]], int], Sequence[Any]]]:
-    """A batch key extractor ``(columns, n) -> key per row``.
-
-    Key convention: a single expression yields bare values, several
-    yield tuples.  Plain attribute references take zero-copy shortcuts
-    (the column itself, or a C-speed ``zip`` of key columns).  Returns ``None`` when any key
-    expression fails to lower.
-    """
-    if all(isinstance(expr, AttrRef) for expr in expressions):
-        indices = [schema.resolve(expr.ref) - 1 for expr in expressions]
-        if len(indices) == 1:
-            index = indices[0]
-            return lambda cols, n: cols[index]
-        return lambda cols, n, _idx=tuple(indices): list(
-            zip(*(cols[i] for i in _idx))
-        )
-    lowered: List[Lowered] = []
-    namespace: Dict[str, Any] = {}
-    refs: set[int] = set()
-    for position, expr in enumerate(expressions):
-        one = try_lower(expr, schema, ref_template="_v{0}", prefix=f"_c{position}x")
-        if one is None:
-            return None
-        namespace.update(one.namespace)
-        lowered.append(one)
-        refs.update(one.refs)
-    ordered_refs = sorted(refs)
-    if len(lowered) == 1:
-        body = lowered[0].source
-    else:
-        body = "(" + ", ".join(one.source for one in lowered) + ")"
-    lines = [
-        "def _kernel(_cols, _n):\n",
-        "    _out = []\n",
-        "    _push = _out.append\n",
-    ]
-    if ordered_refs:
-        lines.append(_loop_header(ordered_refs))
-    else:
-        lines.append("    for _ in range(_n):\n")
-    lines.append(f"        _push({body})\n")
-    lines.append("    return _out\n")
-    return _materialize("".join(lines), namespace, "_kernel")
-
-
-# ---------------------------------------------------------------------------
-# Row-layout batch kernels (operate on the row-wise view of a batch)
-# ---------------------------------------------------------------------------
-
-
-def compile_filter_kernel_rows(
-    condition: ScalarExpr, schema: RelationSchema
 ) -> Optional[Callable[[Sequence[Row], int], Sequence[int]]]:
     """A batch predicate ``(rows, n) -> selected row indices``.
 
-    Same fused condition as :func:`compile_filter_kernel`, but indexing
-    into row tuples instead of zipping columns — used when the input
-    batch is row-backed, so no transpose is ever paid for a filter.
+    The whole (conjunction-fused) condition is one expression per row.
+    A condition with no attribute references is evaluated once: the
+    kernel returns ``range(n)`` or ``()``.  Returns ``None`` when the
+    condition cannot be lowered.
     """
     lowered = try_lower(condition, schema)
     if lowered is None:
@@ -445,15 +291,14 @@ def compile_filter_kernel_rows(
     return _materialize(source, lowered.namespace, "_kernel")
 
 
-def compile_map_kernel_rows(
+def compile_map_kernel(
     expressions: Sequence[ScalarExpr], schema: RelationSchema
 ) -> Optional[Callable[[Sequence[Row], int], List[Row]]]:
     """A fused batch projection ``(rows, n) -> output rows``.
 
-    Builds complete output tuples in one pass over the input rows
-    (attribute references included), so a row-backed batch flows through
-    extended projection without ever materialising columns.  Returns
-    ``None`` unless *every* expression lowers.
+    Builds complete output tuples in one pass over the input rows,
+    attribute references included.  Returns ``None`` unless *every*
+    expression lowers.
     """
     fragments: List[str] = []
     namespace: Dict[str, Any] = {}
@@ -475,14 +320,15 @@ def compile_map_kernel_rows(
     return _materialize(source, namespace, "_kernel")
 
 
-def compile_key_kernel_rows(
+def compile_key_kernel(
     expressions: Sequence[ScalarExpr], schema: RelationSchema
 ) -> Optional[Callable[[Sequence[Row], int], Sequence[Any]]]:
     """A batch key extractor ``(rows, n) -> key per row``.
 
-    Row-layout twin of :func:`compile_key_kernel` with the same key
-    convention (bare value for one expression, tuple for several).
-    Plain attribute keys run as one C-speed ``map(itemgetter, rows)``.
+    Key convention: a single expression yields bare values, several
+    yield tuples.  Plain attribute keys run as one C-speed
+    ``map(itemgetter, rows)``.  Returns ``None`` when any key
+    expression fails to lower.
     """
     if all(isinstance(expr, AttrRef) for expr in expressions):
         indices = [schema.resolve(expr.ref) - 1 for expr in expressions]

@@ -182,7 +182,7 @@ class TestStreamMechanics:
         stream = op.batches({})
         first = next(stream, None)
         if first is not None:
-            assert all(row[0] == 0 for row in first.rows())
+            assert all(row[0] == 0 for row in first.rows)
 
     def test_distinct_emits_once(self):
         r = Relation(int_schema(1), [(1,), (1,), (2,)])

@@ -213,6 +213,23 @@ def test_lint_script_is_pure_static_analysis():
     assert "t" in db.names()
 
 
+@pytest.mark.parametrize(
+    "alphas, message",
+    [
+        ("(%1, %3)", "supplies 2 attribute expression(s) for a degree-3"),
+        ("(%1, %2, %3 > 1.0)", "assignment 3 ((%3 > 1.0)) produces boolean"),
+    ],
+    ids=["wrong-arity", "wrong-domain"],
+)
+def test_lint_script_checks_update_alpha_list(alphas, message):
+    schemas = DatabaseSchema([BEER])
+    report = lint_script(
+        f"update(beer, sel[brewery = 'Grolsch'](beer), {alphas});", schemas.get
+    )
+    assert report.codes() == ["XRA003"]
+    assert message in report.diagnostics[0].message
+
+
 # -- session gates ------------------------------------------------------
 
 

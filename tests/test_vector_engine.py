@@ -42,6 +42,7 @@ from repro.database import Database
 from repro.domains import INTEGER, MONEY, REAL, STRING
 from repro.engine import evaluate, execute
 from repro.engine.vector import (
+    DEFAULT_BATCH_SIZE,
     VFilterOp,
     VGroupByOp,
     VHashJoinOp,
@@ -52,9 +53,11 @@ from repro.errors import DivisionByZeroError
 from repro.expressions import Neg, col, lit
 from repro.expressions.compile import _compile_source, compile_row
 from repro.language import Session
+from repro.optimizer import optimize
 from repro.relation import Relation
 from repro.schema import RelationSchema
 from repro.testing import random_environment
+from repro.workloads.beer import BEER_SCHEMA, BREWERY_SCHEMA
 from tests.test_differential import SEEDS, TINY_BATCH, assert_corpus_agrees
 
 
@@ -176,9 +179,58 @@ class TestCompiledVsInterpreted:
         )
         plan = plan_vector(expr)
         assert isinstance(plan, VFilterOp)
-        assert plan.row_kernel is None, "MONEY arithmetic must refuse to lower"
+        assert plan.kernel is None, "MONEY arithmetic must refuse to lower"
         assert "(interpreted)" in plan.label()
         assert collect_batches(plan, env) == evaluate(expr, env)
+
+    @pytest.mark.parametrize(
+        "condition, interpreted_sides",
+        [
+            # join[%2 * 2 = %5]: only the left key is MONEY arithmetic.
+            ((col(2) * lit(2)).eq(col(5)), ("left",)),
+            # join[%2 * 2 = %5 + %5]: neither key lowers.
+            ((col(2) * lit(2)).eq(col(5) + col(5)), ("left", "right")),
+        ],
+        ids=["left-key", "both-keys"],
+    )
+    @pytest.mark.parametrize("batch_size", [DEFAULT_BATCH_SIZE, TINY_BATCH])
+    def test_money_join_key_falls_back_to_row_key(
+        self, condition, interpreted_sides, batch_size
+    ):
+        price_schema = RelationSchema("price", [("item", STRING), ("amount", MONEY)])
+        offer_schema = RelationSchema(
+            "offer", [("code", INTEGER), ("shop", STRING), ("total", MONEY)]
+        )
+        env = {
+            "price": Relation.from_pairs(
+                price_schema,
+                [
+                    ((f"item{i}", Decimal(i) / 4), 1 + i % 3)
+                    for i in range(12)
+                ],
+            ),
+            "offer": Relation.from_pairs(
+                offer_schema,
+                [
+                    ((i, f"shop{i % 4}", Decimal(i) / 4), 1 + i % 2)
+                    for i in range(12)
+                ],
+            ),
+        }
+        expr = Join(
+            RelationRef("price", price_schema),
+            RelationRef("offer", offer_schema),
+            condition,
+        )
+        plan = plan_vector(expr, batch_size=batch_size)
+        assert isinstance(plan, VHashJoinOp)
+        for side in ("left", "right"):
+            interpreted = side in interpreted_sides
+            assert (getattr(plan, f"{side}_kernel") is None) is interpreted
+            assert (getattr(plan, f"{side}_fallback") is not None) is interpreted
+        reference = evaluate(expr, env)
+        assert len(reference) > 0
+        assert collect_batches(plan, env) == reference
 
 
 class TestPlanShapes:
@@ -266,6 +318,40 @@ class TestKernelMemo:
         for source in sources:
             assert "515151" not in source and "27182" not in source
         assert collect_batches(plan, env) == evaluate(second, env)
+
+    #: Distinct generated sources the two analytic_cold query shapes
+    #: compile at plan time: the selection kernel and one probe loop per
+    #: shape (the join keys are plain attributes, which need no source).
+    ANALYTIC_COLD_SOURCES = 3
+
+    def test_analytic_cold_shapes_compile_once(self):
+        beer = RelationRef("beer", BEER_SCHEMA)
+        brewery = RelationRef("brewery", BREWERY_SCHEMA)
+
+        def distinct_countries(x):
+            # unique(proj[%6](sel[%3 > x](join[%2 = %4](beer, brewery))))
+            joined = Join(beer, brewery, col(2).eq(col(4)))
+            return Unique(Project(as_attr_list([6]), Select(col(3).gt(lit(x)), joined)))
+
+        def avg_by_country(x):
+            # groupby[(country), AVG, alcperc](join[%2 = %4](sel[alcperc > x](beer), brewery))
+            selected = Select(col("alcperc").gt(lit(x)), beer)
+            return GroupBy(
+                ["country"], AVG, "alcperc", Join(selected, brewery, col(2).eq(col(4)))
+            )
+
+        sources = set()
+        for shape in (distinct_countries, avg_by_country):
+            for serial in range(20):
+                before = _compile_source.cache_info().misses
+                # Served queries are optimized before they are planned.
+                plan = plan_vector(optimize(shape(0.5 + serial * 0.25)))
+                if serial:
+                    assert _compile_source.cache_info().misses == before, (
+                        f"{shape.__name__} plan {serial} compiled a kernel"
+                    )
+                sources.update(_compiled_sources(plan))
+        assert len(sources) == self.ANALYTIC_COLD_SOURCES
 
 
 class TestEngineWiring:
