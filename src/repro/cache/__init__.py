@@ -12,10 +12,11 @@ epochs of the base relations it read are unchanged.
 
 Two levels:
 
-* the **plan cache** maps raw expression trees (structural equality) to
-  their normal form, fingerprint, read set, and — per execution
-  strategy — the physical plan, so repeated queries skip the optimizer
-  and planner entirely;
+* the **plan cache** maps raw expression trees (structural equality),
+  with the optimizer and engine that plan them, to the
+  :class:`~repro.cache.plan.Plan` :func:`build_plan` made — normal
+  form, fingerprint, read set and physical plan — so repeated queries
+  skip the optimizer and planner entirely;
 * the **result cache** maps fingerprints to materialised relations
   tagged with the epochs they were computed at, with LRU + max-bytes
   eviction.
@@ -28,12 +29,15 @@ for the full story.
 from repro.cache.cache import CachedResult, CacheStats, QueryCache
 from repro.cache.concurrent import ConcurrentQueryCache
 from repro.cache.fingerprint import base_relations, canonical_text, fingerprint
+from repro.cache.plan import Plan, build_plan
 
 __all__ = [
     "QueryCache",
     "ConcurrentQueryCache",
     "CacheStats",
     "CachedResult",
+    "Plan",
+    "build_plan",
     "fingerprint",
     "canonical_text",
     "base_relations",

@@ -1,14 +1,13 @@
-"""The two-level query cache: plan entries and epoch-tagged results.
+"""The two-level query cache: plans and epoch-tagged results.
 
-``QueryCache.evaluate(expr, context)`` is the single entry point; an
-:class:`~repro.language.context.ExecutionContext` wired with a cache
-routes every expression evaluation through it.  The levels:
+An :class:`~repro.language.context.ExecutionContext` wired with a
+cache plans every expression through :meth:`QueryCache.plan` and runs
+it through :meth:`QueryCache.run` (``evaluate`` chains the two):
 
 1. **Plan level** — keyed on the raw expression tree (structural
-   equality, so re-building the same fluent query hits).  An entry
-   holds the optimizer normal form, its canonical fingerprint, the
-   read set of base relations, and the physical plan per execution
-   strategy.  A hit skips the optimizer and the planner.
+   equality, so re-building the same fluent query hits), the optimizer
+   and the engine.  An entry is the :class:`~repro.cache.plan.Plan`
+   :func:`build_plan` made.  A hit skips the optimizer and the planner.
 2. **Result level** — keyed on the fingerprint of the *normal form*,
    so syntactically different but equivalent queries (Theorems
    3.1–3.3) share one entry.  Each entry carries the per-relation
@@ -24,7 +23,9 @@ Correctness guards (bypass, never wrong answers):
   reads over it no longer match the installed database state and
   bypass the cache (identity check against the database's relation);
 * relations are immutable values, so serving the same
-  :class:`~repro.relation.Relation` object to every hit is safe.
+  :class:`~repro.relation.Relation` object to every hit is safe;
+* a strict-lint session's plans (made by the checked optimizer) are
+  never served to other sessions, nor theirs to it.
 
 Eviction is LRU over a max-bytes + max-entries budget; a result larger
 than the whole budget is simply not cached.  All cache traffic is
@@ -36,20 +37,18 @@ counters) while observability is enabled.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.algebra import AlgebraExpr
-from repro.cache.fingerprint import base_relations, fingerprint
-from repro.engine.evaluator import evaluate as reference_evaluate
-from repro.engine.planner import (
-    execute as physical_execute,
-    plan_physical,
-)
+from repro.cache.plan import Plan, build_plan
 from repro import obs
 from repro.obs.telemetry import account as _active_account
 from repro.relation import Relation
 
 __all__ = ["QueryCache", "CacheStats", "CachedResult"]
+
+#: A plan-level key: the raw tree, the optimizer, and whether physical.
+PlanKey = Tuple[AlgebraExpr, Optional[Callable[..., AlgebraExpr]], bool]
 
 def estimate_bytes(relation: Relation) -> int:
     """A cheap size estimate of a materialised relation.
@@ -101,19 +100,6 @@ class CacheStats:
         )
 
 
-class _PlanEntry:
-    """Normal form + fingerprint + read set + physical plan for one tree."""
-
-    __slots__ = ("normalized", "fingerprint", "deps", "plan")
-
-    def __init__(self, normalized: AlgebraExpr) -> None:
-        self.normalized = normalized
-        self.fingerprint = fingerprint(normalized)
-        self.deps = base_relations(normalized)
-        #: The physical plan, made on the first physical execution.
-        self.plan: Optional[Any] = None
-
-
 class CachedResult:
     """One materialised result and the epochs it is valid at."""
 
@@ -143,9 +129,7 @@ class QueryCache:
         self.max_bytes = max_bytes
         self.max_entries = max_entries
         self.stats = CacheStats()
-        self._plans: "OrderedDict[Tuple[AlgebraExpr, bool], _PlanEntry]" = (
-            OrderedDict()
-        )
+        self._plans: "OrderedDict[PlanKey, Plan]" = OrderedDict()
         self._results: "OrderedDict[str, CachedResult]" = OrderedDict()
         self._bytes = 0
 
@@ -178,50 +162,87 @@ class QueryCache:
         """
         return result_fingerprint in self._results
 
-    def fingerprint_for(
-        self, expr: AlgebraExpr, optimized: bool = True
-    ) -> Optional[str]:
-        """The normal-form fingerprint this cache keys ``expr``'s result on.
+    # -- the plan level --------------------------------------------------
 
-        Returns ``None`` when the expression has no plan entry yet (the
-        cache never saw it) — callers fall back to fingerprinting the
-        raw tree.  Pure inspection: no LRU movement, no stats.
-        """
-        entry = self._plans.get((expr, optimized))
-        return entry.fingerprint if entry is not None else None
+    def plan(
+        self,
+        expr: AlgebraExpr,
+        optimizer: Optional[Callable[..., AlgebraExpr]],
+        physical: bool,
+    ) -> Plan:
+        """``expr``'s plan as ``optimizer`` and ``physical`` make it, kept."""
+        key = (expr, optimizer, physical)
+        plan = self._cached_plan(key)
+        if plan is None:
+            plan = self._keep_plan(key, build_plan(expr, optimizer, physical))
+        return plan
 
-    # -- the lookup path -------------------------------------------------
+    def _cached_plan(self, key: PlanKey) -> Optional[Plan]:
+        plan = self._plans.get(key)
+        if plan is None:
+            self.stats.plan_misses += 1
+            obs.add("cache.misses", level="plan")
+            return None
+        self._plans.move_to_end(key)
+        self.stats.plan_hits += 1
+        obs.add("cache.hits", level="plan")
+        return plan
+
+    def _keep_plan(self, key: PlanKey, plan: Plan) -> Plan:
+        """Keep ``plan``, or the one already kept under ``key``; return it."""
+        kept = self._plans.setdefault(key, plan)
+        while len(self._plans) > self.max_entries:
+            self._plans.popitem(last=False)
+        return kept
+
+    # -- the result level --------------------------------------------------
 
     def evaluate(self, expr: AlgebraExpr, context: Any) -> Relation:
-        """Evaluate ``expr`` for ``context``, serving from cache if valid."""
-        entry = self._plan_entry(expr, context)
+        """Plan ``expr`` as ``context`` does, then :meth:`run` it."""
+        plan = self.plan(expr, context.optimizer, context.use_physical_engine)
+        return self.run(plan, context)
+
+    def run(self, plan: Plan, context: Any) -> Relation:
+        """Run ``plan`` for ``context``, serving its result if still valid."""
+        served, epochs = self._lookup(plan, context)
+        if served is not None:
+            return served
+        relation = plan.run(context.environment())
+        if epochs is not None:
+            self._store(plan.fingerprint, relation, plan.deps, epochs)
+        return relation
+
+    def _lookup(
+        self, plan: Plan, context: Any
+    ) -> Tuple[Optional[Relation], Optional[Dict[str, int]]]:
+        """A still-valid result for ``plan``, else the epochs to keep one at.
+
+        Both are None when the result level does not apply.
+        """
         database = getattr(context, "database", None)
-        deps = entry.deps
-        if not self._result_level_applies(deps, context, database):
+        if not self._result_level_applies(plan.deps, context, database):
             self.stats.bypasses += 1
             obs.add("cache.bypasses")
-            return self._execute(entry, context)
-        epochs = {name: database.epoch(name) for name in deps}
-        cached = self._results.get(entry.fingerprint)
+            return None, None
+        epochs = {name: database.epoch(name) for name in plan.deps}
+        cached = self._results.get(plan.fingerprint)
         if cached is not None:
             if cached.epochs == epochs:
-                self._results.move_to_end(entry.fingerprint)
+                self._results.move_to_end(plan.fingerprint)
                 self.stats.result_hits += 1
                 obs.add("cache.hits", level="result")
                 if (acct := _active_account()) is not None:
                     acct.cache_hits += 1
-                return cached.relation
+                return cached.relation, epochs
             # A transition bumped an epoch this entry depends on.
-            self._drop(entry.fingerprint)
+            self._drop(plan.fingerprint)
             self.stats.invalidations += 1
             obs.add("cache.invalidations")
         self.stats.result_misses += 1
         obs.add("cache.misses", level="result")
         if (acct := _active_account()) is not None:
             acct.cache_misses += 1
-        relation = self._execute(entry, context)
-        self._store(entry.fingerprint, relation, deps, epochs)
-        return relation
+        return None, epochs
 
     def _result_level_applies(
         self, deps: frozenset, context: Any, database: Optional[Any]
@@ -243,32 +264,6 @@ class QueryCache:
             if context.get_relation(name) is not database.get(name):
                 return False
         return True
-
-    def _plan_entry(self, expr: AlgebraExpr, context: Any) -> _PlanEntry:
-        optimizer = context.optimizer
-        key = (expr, optimizer is not None)
-        entry = self._plans.get(key)
-        if entry is not None:
-            self._plans.move_to_end(key)
-            self.stats.plan_hits += 1
-            obs.add("cache.hits", level="plan")
-            return entry
-        self.stats.plan_misses += 1
-        obs.add("cache.misses", level="plan")
-        normalized = optimizer(expr) if optimizer is not None else expr
-        entry = _PlanEntry(normalized)
-        self._plans[key] = entry
-        while len(self._plans) > self.max_entries:
-            self._plans.popitem(last=False)
-        return entry
-
-    def _execute(self, entry: _PlanEntry, context: Any) -> Relation:
-        env = context.environment()
-        if not context.use_physical_engine:
-            return reference_evaluate(entry.normalized, env)
-        if entry.plan is None:
-            entry.plan = plan_physical(entry.normalized)
-        return physical_execute(entry.normalized, env, physical=entry.plan)
 
     # -- result storage ---------------------------------------------------
 

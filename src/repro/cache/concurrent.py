@@ -19,12 +19,10 @@ instance shared by every connection over the shared database.
 from __future__ import annotations
 
 import threading
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
-from repro.algebra import AlgebraExpr
-from repro.cache.cache import QueryCache, _PlanEntry
-from repro import obs
-from repro.obs.telemetry import account as _active_account
+from repro.cache.cache import PlanKey, QueryCache
+from repro.cache.plan import Plan
 from repro.relation import Relation
 
 __all__ = ["ConcurrentQueryCache"]
@@ -41,7 +39,7 @@ class ConcurrentQueryCache(QueryCache):
         super().__init__(max_bytes=max_bytes, max_entries=max_entries)
         self._lock = threading.RLock()
 
-    # -- the lookup path, re-sequenced around the lock -------------------
+    # -- bookkeeping under the lock --------------------------------------
 
     @property
     def synchronized(self) -> threading.RLock:
@@ -56,85 +54,28 @@ class ConcurrentQueryCache(QueryCache):
         """
         return self._lock
 
-    def evaluate(self, expr: AlgebraExpr, context: Any) -> Relation:
-        """Evaluate ``expr`` for ``context``; bookkeeping under the lock."""
-        entry = self._locked_plan_entry(expr, context)
-        database = getattr(context, "database", None)
-        deps = entry.deps
-        epochs: dict = {}
+    def _lookup(self, plan: Plan, context: Any) -> Tuple[Optional[Relation], Any]:
+        # Applicability + the epoch snapshot are one atomic read:
+        # installs hold the same lock (see :attr:`synchronized`).
         with self._lock:
-            # Applicability + the epoch snapshot are one atomic read:
-            # installs hold the same lock (see :attr:`synchronized`).
-            if not self._result_level_applies(deps, context, database):
-                self.stats.bypasses += 1
-                applies = False
-            else:
-                applies = True
-                epochs = {name: database.epoch(name) for name in deps}
-                cached = self._results.get(entry.fingerprint)
-                if cached is not None:
-                    if cached.epochs == epochs:
-                        self._results.move_to_end(entry.fingerprint)
-                        self.stats.result_hits += 1
-                        obs.add("cache.hits", level="result")
-                        if (acct := _active_account()) is not None:
-                            acct.cache_hits += 1
-                        return cached.relation
-                    self._drop(entry.fingerprint)
-                    self.stats.invalidations += 1
-                    obs.add("cache.invalidations")
-                self.stats.result_misses += 1
-        if not applies:
-            obs.add("cache.bypasses")
-            return self._execute(entry, context)
-        obs.add("cache.misses", level="result")
-        if (acct := _active_account()) is not None:
-            acct.cache_misses += 1
-        relation = self._execute(entry, context)
-        with self._lock:
-            self._store(entry.fingerprint, relation, deps, epochs)
-        return relation
+            return super()._lookup(plan, context)
 
-    def _locked_plan_entry(
-        self, expr: AlgebraExpr, context: Any
-    ) -> _PlanEntry:
-        """Plan-level lookup; the optimizer runs outside the lock.
+    def _store(self, key: str, relation: Relation, deps: frozenset, epochs: Any) -> None:
+        with self._lock:
+            super()._store(key, relation, deps, epochs)
 
-        Two threads missing the same key may both normalize the tree;
-        the first insert wins and the loser adopts it, so one expression
-        never ends up with two live entries (the result level keys on
-        the entry's fingerprint).
-        """
-        optimizer = context.optimizer
-        key = (expr, optimizer is not None)
+    def _cached_plan(self, key: PlanKey) -> Optional[Plan]:
         with self._lock:
-            entry = self._plans.get(key)
-            if entry is not None:
-                self._plans.move_to_end(key)
-                self.stats.plan_hits += 1
-                obs.add("cache.hits", level="plan")
-                return entry
-            self.stats.plan_misses += 1
-            obs.add("cache.misses", level="plan")
-        normalized = optimizer(expr) if optimizer is not None else expr
-        entry = _PlanEntry(normalized)
+            return super()._cached_plan(key)
+
+    def _keep_plan(self, key: PlanKey, plan: Plan) -> Plan:
+        # Two threads missing one key may both build (outside the lock);
+        # the first keep wins and the loser adopts it.
         with self._lock:
-            existing = self._plans.get(key)
-            if existing is not None:
-                return existing
-            self._plans[key] = entry
-            while len(self._plans) > self.max_entries:
-                self._plans.popitem(last=False)
-        return entry
+            return super()._keep_plan(key, plan)
 
     # -- maintenance -----------------------------------------------------
 
     def clear(self) -> None:
         with self._lock:
             super().clear()
-
-    def fingerprint_for(
-        self, expr: AlgebraExpr, optimized: bool = True
-    ) -> Optional[str]:
-        with self._lock:
-            return super().fingerprint_for(expr, optimized)

@@ -16,9 +16,9 @@ start with a dot:
     .tables               list relations with sizes
     .schema NAME          show one relation's schema
     .sql  STATEMENT       run one SQL statement (query or DML)
-    .explain EXPRESSION   show an XRA query's logical tree, optimized
-                          tree, and physical plan
-    .profile EXPRESSION   run an XRA query with per-operator counters
+    .explain EXPRESSION   show the session's plan of an XRA query: logical
+                          and optimized tree, fingerprint, physical plan
+    .profile EXPRESSION   run that plan with per-operator counters
                           (pairs / rows / ms per plan node)
     .analyze EXPRESSION   EXPLAIN ANALYZE: run the query instrumented
                           and show estimated vs. actual rows, wall time,
@@ -61,17 +61,15 @@ from typing import List, Optional, TextIO
 from repro.algebra import render
 from repro.cache import QueryCache
 from repro.database import Database
-from repro.engine import StatisticsCatalog, plan_physical
 from repro.errors import ReproError
 from repro import obs
-from repro.optimizer import optimize
 from repro.relation import format_relation, relation_from_csv, relation_to_csv
 from repro.sql.ast import SelectQuery
 from repro.sql.parser import parse_sql
 from repro.sql.translate import translate_statement
 from repro.language import Session
 from repro.xra import XRAInterpreter
-from repro.xra.parser import StatementItem, TransactionItem, parse_script
+from repro.xra.parser import StatementItem, parse_script
 
 __all__ = ["Shell", "main"]
 
@@ -406,33 +404,20 @@ class Shell:
         self.print(report.render())
 
     def explain(self, text: str) -> None:
-        """Logical tree, optimized tree, physical plan of one XRA query."""
-        text = text.strip().rstrip(";").strip()
+        """Logical tree, then the session's plan of one XRA query."""
+        expr = self._parse_single_query(text)
+        if expr is None:
+            return
         try:
-            items = parse_script(
-                f"{text};" if text.startswith("?") else f"? {text};",
-                self.database.schema.get,
-            )
+            plan = self.session.plan(expr)
         except ReproError as error:
             self.print_error(error)
             return
-        statements = []
-        for item in items:
-            if isinstance(item, StatementItem):
-                statements.append(item.statement)
-            elif isinstance(item, TransactionItem):
-                statements.extend(item.statements)
-        queries = [s for s in statements if hasattr(s, "expression")]
-        if not queries:
-            self.print_error(ReproError("nothing to explain"))
-            return
-        expr = queries[0].expression
         self.print("logical:   " + render(expr))
-        catalog = StatisticsCatalog.from_env(dict(self.database.as_env()))
-        optimized = optimize(expr, catalog)
-        self.print("optimized: " + render(optimized))
+        self.print("optimized: " + render(plan.normalized))
+        self.print("fingerprint: " + plan.fingerprint)
         self.print("physical:")
-        self.print(plan_physical(optimized).explain(indent=1))
+        self.print(plan.physical.explain(indent=1))
 
     ANALYZE_USAGE = ".analyze EXPRESSION | .analyze on | .analyze off"
 
@@ -461,13 +446,19 @@ class Shell:
         self.print(str(report))
 
     def profile(self, text: str) -> None:
-        """Run one XRA query with per-operator execution counters."""
+        """Run the session's plan of one XRA query with per-operator counters."""
         expr = self._parse_single_query(text)
         if expr is None:
             return
-        from repro.engine.profiler import execute_profiled
+        from repro.engine.profiler import profile_plan
 
-        result, report = execute_profiled(expr, dict(self.database.as_env()))
+        try:
+            plan = self.session.plan(expr)
+            result, report = profile_plan(plan.physical, self.database.snapshot())
+        except ReproError as error:
+            self.print_error(error)
+            return
+        self.print("fingerprint: " + plan.fingerprint)
         self.print(str(report))
         self.print(f"result: {len(result)} tuple(s), "
                    f"{result.distinct_count} distinct")

@@ -3,7 +3,8 @@
 The one physical executor is the batch operator family of
 :mod:`repro.engine.vector`; :func:`plan_physical` plans through
 :func:`~repro.engine.vector.plan_vector` and :func:`execute` runs a plan
-to a materialised relation.
+to a materialised relation; :func:`repro.cache.build_plan` decides
+which tree they get.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ def plan_physical(
     _reserved: None = None,
     engine: str = "vector",
 ) -> VectorOp:
-    """Plan ``expr`` for the physical engine.
+    """Plan ``expr`` for the physical engine, under a ``plan`` trace span.
 
-    ``_reserved`` accepts only ``None`` and ``engine`` only
+    :func:`repro.cache.build_plan` plans through here.  ``_reserved``
+    accepts only ``None`` and ``engine`` only
     ``"vector"``.  Both keep the positional call
     ``plan_physical(expr, None, "vector")`` in ``benchmarks/e2e/layers.py``
     working, and go the next time ``benchmarks/e2e/`` is edited (see
@@ -52,7 +54,11 @@ def plan_physical(
             f"plan_physical takes no planner option, got {_reserved!r}"
         )
     _check_engine(engine)
-    return plan_vector(expr)
+    with obs.span("plan") as span:
+        physical = plan_vector(expr)
+        if span.recording:
+            span.set(shape=physical.explain())
+    return physical
 
 
 def execute(
@@ -61,36 +67,30 @@ def execute(
     physical: Optional[VectorOp] = None,
     engine: str = "vector",
 ) -> Relation:
-    """Plan and run ``expr`` on the physical engine.
+    """Run ``expr`` on the physical engine; plan it first if not given.
 
-    ``physical`` optionally supplies a previously planned operator tree
-    for exactly this expression — the plan cache (:mod:`repro.cache`)
-    uses it to skip re-planning on repeated queries; the planning stage
-    is then a no-op.  ``engine`` accepts only ``"vector"`` and is kept
-    for ``benchmarks/e2e/``.
+    ``physical`` is a plan made for exactly this expression (a
+    :class:`repro.cache.Plan`'s, the normal way in); without it ``expr``
+    is planned as given, which suits tests and micro-benchmarks.
+    ``engine`` accepts only ``"vector"`` and is kept for
+    ``benchmarks/e2e/``.
 
     A served run is metered (:func:`repro.engine.profiler.metered`)
     while :mod:`repro.obs` records metrics or a resource account is
     active, so the ``operator.*`` metrics and the account see every
-    operator.  With a tracer on, the plan and execute stages also run
-    under trace spans and the execute span carries the per-operator
-    records.  Otherwise this is the bare plan-and-collect path.
+    operator.  With a tracer on, the execute stage runs under a trace
+    span that carries the per-operator records.  Otherwise this is the
+    bare collect path.
     """
     _check_engine(engine)
+    if physical is None:
+        physical = plan_physical(expr)
     if not obs.enabled():
-        if physical is None:
-            physical = plan_vector(expr)
         if not metering_wanted():
             return collect_batches(physical, env)
         with metered():
             return collect_batches(physical, env)
 
-    with obs.span("plan") as plan_span:
-        if physical is None:
-            physical = plan_vector(expr)
-        else:
-            plan_span.set(cached=True)
-        plan_span.set(shape=physical.explain())
     with obs.span("execute") as execute_span:
         with metered() as meter:
             result = collect_batches(physical, env)

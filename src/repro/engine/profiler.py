@@ -43,6 +43,7 @@ __all__ = [
     "metered",
     "metering_wanted",
     "plan_records",
+    "profile_plan",
     "record_of",
 ]
 
@@ -282,22 +283,32 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-def execute_profiled(
-    expr: AlgebraExpr,
+def profile_plan(
+    physical: Any,
     env: Dict[str, Relation],
     registry: Optional[MetricsRegistry] = None,
 ) -> Tuple[Relation, ProfileReport]:
-    """Plan and run ``expr`` under a meter; return (result, profile).
+    """Run a physical plan under a meter; return (result, profile).
 
     With ``registry``, the per-operator counts are also folded into the
     given metrics registry (see :meth:`ProfileReport.emit_metrics`).
     """
-    from repro.engine.vector import collect_batches, plan_vector
+    from repro.engine.vector import collect_batches
 
-    physical = plan_vector(expr)
     with metered() as meter:
         result = collect_batches(physical, env)
     report = ProfileReport(plan_records(physical, meter))
     if registry is not None:
         report.emit_metrics(registry)
     return result, report
+
+
+def execute_profiled(
+    expr: AlgebraExpr,
+    env: Dict[str, Relation],
+    registry: Optional[MetricsRegistry] = None,
+) -> Tuple[Relation, ProfileReport]:
+    """Plan ``expr`` as given (no optimizer) and :func:`profile_plan` it."""
+    from repro.cache.plan import build_plan
+
+    return profile_plan(build_plan(expr).physical, env, registry)

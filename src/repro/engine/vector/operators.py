@@ -867,7 +867,8 @@ class VGroupByOp(VectorOp):
     matching Definition 3.4.
     """
 
-    __slots__ = ("positions", "aggregate", "param_position", "child", "fold")
+    __slots__ = ("positions", "aggregate", "param_position", "child", "fold",
+                 "accumulate")
     consolidated = True
 
     def __init__(
@@ -903,6 +904,13 @@ class VGroupByOp(VectorOp):
             ):
                 fold = "sum"
         self.fold = fold
+        param_index = None if param_position is None else param_position - 1
+        #: The accumulation loop, compiled at plan time (None: no grouping).
+        self.accumulate = (
+            _compile_group_accumulator(self.positions, param_index, fold)
+            if self.positions
+            else None
+        )
 
     def children(self) -> Tuple[VectorOp, ...]:
         return (self.child,)
@@ -914,15 +922,12 @@ class VGroupByOp(VectorOp):
         param_index = (
             self.param_position - 1 if self.param_position is not None else None
         )
+        accumulate = self.accumulate
         # Keys are bare values for a single grouping attribute (hashing
         # an int or string beats allocating and hashing a 1-tuple per
         # row); output rows re-wrap them below.
         groups: Dict[Any, Dict[Any, int]] = defaultdict(lambda: defaultdict(int))
         totals: Dict[Any, int] = defaultdict(int)
-        if not positions:
-            accumulate = None
-        else:
-            accumulate = _compile_group_accumulator(positions, param_index, fold)
         accumulator = groups if fold == "bag" else totals
         for batch in child_batches(self.child, env):
             if param_index is not None and param_index >= batch.degree:

@@ -200,9 +200,8 @@ def try_lower(
 #: Distinct generated sources kept compiled.  Constants live in the
 #: namespace, not the source, so a query shape compiles once however
 #: its literals vary: the two analytic_cold query shapes, each planned
-#: with 20 fresh literals, compile 3 distinct sources (4 once the
-#: group-by accumulator has run; 200 such queries hit the cache 496
-#: times in 500 lookups).
+#: with 20 fresh literals, compile 4 distinct sources, all at plan time
+#: (200 such queries hit the cache 496 times in 500 lookups).
 KERNEL_CACHE_SIZE = 512
 
 

@@ -9,9 +9,10 @@ the next database state ``D^{t+1}`` (Definition 4.3).
 The context also records what commit validates (the epochs pinned with
 the snapshot, the base relations read) and yields the net deltas.  It
 owns the evaluation strategy: the reference evaluator
-by default, optionally the physical engine and/or the optimizer — and,
-when a :class:`~repro.cache.QueryCache` is attached, every expression
-evaluation is routed through it.  The cache decides per lookup whether
+by default, optionally the physical engine and/or the optimizer.  Each
+evaluation takes its :class:`~repro.cache.Plan` from :meth:`plan` and
+runs it, through an attached :class:`~repro.cache.QueryCache`'s two
+levels.  The cache decides per lookup whether
 the result level applies (it bypasses itself for temporaries and for
 working states that have diverged from the installed database state,
 which is why attaching a cache to transactional contexts is safe).
@@ -22,8 +23,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, Optional, Set
 
 from repro.algebra import AlgebraExpr
-from repro.cache.fingerprint import base_relations
-from repro.engine import StatisticsCatalog, evaluate, execute
+from repro.cache.plan import Plan, build_plan
+from repro.engine import StatisticsCatalog
 from repro.errors import DuplicateRelationError, UnknownRelationError
 from repro.multiset import Delta
 from repro.relation import Relation
@@ -56,8 +57,9 @@ class ExecutionContext:
         self.temporaries: Dict[str, Relation] = {}
         #: Results of query statements, in execution order.
         self.outputs: List[Relation] = []
-        self._use_physical_engine = use_physical_engine
-        self._optimizer = optimizer
+        #: The evaluation strategy, read by :meth:`plan` and the cache.
+        self.use_physical_engine = use_physical_engine
+        self.optimizer = optimizer
         #: Optional :class:`~repro.cache.QueryCache` consulted by
         #: :meth:`evaluate`; None evaluates directly.
         self.cache = cache
@@ -119,47 +121,42 @@ class ExecutionContext:
             if relation is not pinned[name]
         }
 
-    # -- evaluation strategy (read by the cache) --------------------------
-
-    @property
-    def use_physical_engine(self) -> bool:
-        return self._use_physical_engine
-
-    @property
-    def optimizer(self) -> Optional[Callable[[AlgebraExpr], AlgebraExpr]]:
-        return self._optimizer
-
     # -- expression evaluation --------------------------------------------------
 
-    def evaluate(self, expr: AlgebraExpr) -> Relation:
-        """Evaluate ``expr`` against the working state.
+    def plan(self, expr: AlgebraExpr) -> Plan:
+        """The plan this working state runs ``expr`` with (cached if it can be)."""
+        if self.cache is not None:
+            return self.cache.plan(expr, self.optimizer, self.use_physical_engine)
+        return build_plan(expr, self.optimizer, self.use_physical_engine)
 
-        When an :attr:`account` is attached, it is activated for the
-        calling thread around the evaluation: the run is metered and its
-        operator records are folded into it, the cache credits its hits
-        and misses, and the result cardinalities are tallied here.
+    def evaluate(self, expr: AlgebraExpr) -> Relation:
+        """Evaluate ``expr`` against the working state: plan it, run it."""
+        return self.run(self.plan(expr))
+
+    def run(self, plan: Plan) -> Relation:
+        """Run ``plan`` against the working state (via the cache if attached).
+
+        The plan's read set joins :attr:`reads`.  An attached
+        :attr:`account` is active around the run: it meters the
+        operators, takes the cache's hits and misses, and tallies the
+        result cardinalities.
         """
-        self.reads.update(base_relations(expr) & self.relations.keys())
+        self.reads.update(plan.deps & self.relations.keys())
         if self.account is None:
-            return self._evaluate_direct(expr)
+            return self._run(plan)
         from repro.obs.telemetry import activate
 
         with activate(self.account) as acct:
-            result = self._evaluate_direct(expr)
+            result = self._run(plan)
             acct.evaluations += 1
             acct.rows_emitted += len(result)  # bag cardinality
             acct.pairs_emitted += result.distinct_count
         return result
 
-    def _evaluate_direct(self, expr: AlgebraExpr) -> Relation:
+    def _run(self, plan: Plan) -> Relation:
         if self.cache is not None:
-            return self.cache.evaluate(expr, self)
-        if self._optimizer is not None:
-            expr = self._optimizer(expr)
-        env = self.environment()
-        if self._use_physical_engine:
-            return execute(expr, env)
-        return evaluate(expr, env)
+            return self.cache.run(plan, self)
+        return plan.run(self.environment())
 
     def statistics(self) -> StatisticsCatalog:
         """Exact statistics of the working state (for cost-based choices)."""

@@ -7,6 +7,10 @@ how a statement runs: the XRA interpreter, the CLI shell and the query
 server all build their working states with :meth:`Session.context`.
 It offers:
 
+* ``session.plan(expr)`` — the :class:`~repro.cache.Plan` the session
+  runs ``expr`` with (normal form, fingerprint, read set, physical
+  plan); ``?E``, the server, the shell's ``.explain`` and ``.profile``
+  and :meth:`Session.explain_analyze` all run or show this one plan;
 * ``session.query(expr)`` — evaluate a read-only expression now;
 * ``session.insert/delete/update/assign`` — auto-commit single-statement
   transactions;
@@ -19,26 +23,26 @@ access in practice" — is what this module operationalises.
 
 A session optionally carries a :class:`~repro.obs.QueryLog`: every
 query and transaction run through it is then recorded with its wall
-time, plan shape, result cardinalities, and the logical time it ran at,
-and statements at/above the log's slow threshold are flagged (the CLI's
-``.slowlog``).  Without a log — the default — nothing is timed and the
-paths are as cheap as before.
+time, plan (normal form and fingerprint), result cardinalities, and the
+logical time it ran at, and statements at/above the log's slow
+threshold are flagged (the CLI's ``.slowlog``).  Without a log — the
+default — nothing is timed and the paths are as cheap as before.
 
 A session also optionally carries a :class:`~repro.cache.QueryCache`
-(``Session(db, cache=True)`` or ``cache=QueryCache(...)``): repeated
-reads are then served from the epoch-invalidated result cache, and the
-query log marks such statements "served from cache".  One cache object
-may be shared between sessions over the same database.
+(``Session(db, cache=True)`` or ``cache=QueryCache(...)``): plans are
+kept in its plan level, repeated reads are served from the
+epoch-invalidated result cache, and the query log marks such statements
+"served from cache".  One cache object may be shared between sessions
+over the same database.
 
 Finally, ``Session(db, analyze=True)`` (or :meth:`Session.set_analyze`)
 turns on EXPLAIN ANALYZE mode: every :meth:`Session.query` executes
 fully instrumented, keeps the annotated estimate-vs-actual report as
 ``session.last_analyze``, and feeds the observed cardinalities into
-the session's statistics catalog, which later analyze runs plan with.
-Queries outside analyze mode (like the server's) optimize without a
-catalog, so the feedback does not re-plan them.
-One-off reports come from
-:meth:`Session.explain_analyze` without switching modes.
+the session's statistics catalog, which it then plans with.  Queries
+outside analyze mode (like the server's) optimize without a catalog,
+so the feedback does not re-plan them.  One-off reports of the served
+plan come from :meth:`Session.explain_analyze`.
 """
 
 from __future__ import annotations
@@ -48,8 +52,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.algebra import AlgebraExpr, RelationRef, render
 from repro.algebra.base import ConditionLike
-from repro.cache import QueryCache
-from repro.cache.fingerprint import fingerprint as expr_fingerprint
+from repro.cache import Plan, QueryCache, build_plan
 from repro.database import Database
 from repro.engine.statistics import StatisticsCatalog
 from repro.errors import TransactionAbort, TransactionError
@@ -82,7 +85,9 @@ class Session:
         self.database = database
         self.use_physical_engine = use_physical_engine
         self.constraints: List[object] = list(constraints)
-        self._optimizer: Optional[Callable[[AlgebraExpr], AlgebraExpr]] = (
+        #: The optimizer plans are made with: ``optimize``, its
+        #: strict-lint checked form (see :meth:`set_lint`), or None.
+        self._optimizer: Optional[Callable[..., AlgebraExpr]] = (
             optimize if use_optimizer else None
         )
         #: Query/plan cache; None disables caching.  ``cache=True``
@@ -165,6 +170,12 @@ class Session:
             raise ValueError(
                 f"lint mode must be None, 'warn', or 'strict', not {mode!r}"
             )
+        if self._optimizer is not None:
+            from repro.lint import checked_optimize
+
+            self._optimizer = (
+                checked_optimize if self._lint == "strict" else optimize
+            )
         return self._lint
 
     def lint(self, expr: AlgebraExpr) -> "object":
@@ -225,31 +236,6 @@ class Session:
             if getattr(constraint, "name", None) != name
         ]
 
-    def _exec_optimizer(
-        self,
-    ) -> Optional[Callable[[AlgebraExpr], AlgebraExpr]]:
-        """The optimizer execution contexts should use.
-
-        In strict lint mode the optimizer is wrapped with the
-        optimized-plan consistency check, so the rewriter soundness
-        gate runs on *every* execution (queries, statements, and open
-        transactions all funnel through here).
-        """
-        if self._lint == "strict" and self._optimizer is not None:
-            return self._checked_optimizer
-        return self._optimizer
-
-    def _checked_optimizer(self, expr: AlgebraExpr) -> AlgebraExpr:
-        from repro.errors import LintError
-        from repro.lint import check_plan_consistency
-
-        assert self._optimizer is not None
-        optimized = self._optimizer(expr)
-        report = check_plan_consistency(expr, optimized)
-        if not report.ok:
-            raise LintError(report)
-        return optimized
-
     # -- EXPLAIN ANALYZE ----------------------------------------------------
 
     @property
@@ -292,48 +278,50 @@ class Session:
     def explain_analyze(
         self, expr: AlgebraExpr, record: bool = True
     ) -> "object":
-        """Run ``expr`` instrumented; return the estimate-vs-actual report.
+        """Run :meth:`plan`'s plan instrumented; return the report.
 
-        The result relation rides along as ``report.result``.  With
-        ``record`` (the default) the run's actual cardinalities feed the
-        session's analyze catalog, so the next planning of the same
-        subexpressions uses observed numbers — and the report is kept as
-        :attr:`last_analyze` (the CLI's ``.analyze`` reads it back).
+        Estimates come from the analyze catalog; the result relation
+        rides along as ``report.result``.  With ``record`` (the default)
+        the run's actual cardinalities feed that catalog, so analyze-mode
+        planning of the same subexpressions uses observed numbers — and
+        the report is kept as :attr:`last_analyze` (the CLI's
+        ``.analyze`` reads it back).
         """
         if not self.use_physical_engine:
             raise ValueError(
                 "EXPLAIN ANALYZE requires the physical engine "
                 "(use_physical_engine=True)"
             )
-        from repro.obs.analyze import analyze as run_analyze
+        from repro.obs.analyze import analyze_plan
 
-        report = run_analyze(
+        report = analyze_plan(
+            self.plan(expr),
             expr,
             self.database.snapshot(),
-            catalog=self.analyze_catalog(),
-            use_optimizer=self._optimizer is not None,
+            self.analyze_catalog(),
             record=record,
             cache=self._cache,
         )
         self.last_analyze = report
         return report
 
-    def _fingerprint_for(self, expr: AlgebraExpr) -> str:
-        """The cache-correlatable fingerprint of ``expr`` for the log.
+    # -- plans and working states ------------------------------------------------
 
-        Prefers the plan-cache entry's normal-form fingerprint (the key
-        the result cache uses), falling back to fingerprinting the raw
-        tree when the cache has not seen the expression.
+    def plan(self, expr: AlgebraExpr) -> Plan:
+        """The one plan this session runs ``expr`` with.
+
+        ``?E``, :meth:`query`, the server, the shell's ``.explain`` and
+        ``.profile`` and :meth:`explain_analyze` all run or show it.  It
+        uses the session's optimizer (plan-consistency checked in strict
+        lint mode) and the plan level of an attached cache.  In analyze
+        mode it optimizes with the analyze catalog and is not cached:
+        the catalog changes with every analyzed run.
         """
-        if self._cache is not None:
-            cached = self._cache.fingerprint_for(
-                expr, self._optimizer is not None
+        if self._analyze:
+            return build_plan(
+                expr, self._optimizer, catalog=self.analyze_catalog()
             )
-            if cached is not None:
-                return cached
-        return expr_fingerprint(expr)
-
-    # -- working states -------------------------------------------------------
+        return self.context().plan(expr)
 
     def context(self, account: Optional[object] = None) -> ExecutionContext:
         """A working state over the database's current snapshot.
@@ -344,7 +332,7 @@ class Session:
         return ExecutionContext(
             self.database.snapshot(),
             use_physical_engine=self.use_physical_engine,
-            optimizer=self._exec_optimizer(),
+            optimizer=self._optimizer,
             cache=self._cache,
             database=self.database,
             account=account,
@@ -375,7 +363,7 @@ class Session:
                     rows=len(result),
                     distinct=result.distinct_count,
                     logical_time=self.database.logical_time,
-                    fingerprint=self._fingerprint_for(expr),
+                    fingerprint=report.fingerprint,
                 )
             return result
         if log is None and not obs.enabled():
@@ -387,27 +375,19 @@ class Session:
         with obs.span(
             "session.query", logical_time=self.database.logical_time
         ) as span:
-            result = self.context().evaluate(expr)
+            context = self.context()
+            plan = context.plan(expr)
+            result = context.run(plan)
             if span.recording:
                 span.set(rows=len(result), pairs=result.distinct_count)
         seconds = time.perf_counter() - started
         obs.add("session.queries")
-        served_from_cache = (
-            self._cache is not None
-            and self._cache.stats.result_hits > hits_before
-        )
         if log is not None:
-            # Plan shape: the physical plan captured by the trace when
-            # available (cost already paid), else the logical rendering.
-            plan_text = render(expr)
-            tracer = obs.tracer()
-            if tracer is not None:
-                plan_spans = [
-                    span for span in tracer.spans if span.name == "plan"
-                ]
-                if plan_spans:
-                    plan_text = plan_spans[-1].attrs.get("shape", plan_text)
-            if served_from_cache:
+            plan_text = render(plan.normalized)
+            if (
+                self._cache is not None
+                and self._cache.stats.result_hits > hits_before
+            ):
                 plan_text = f"{plan_text} (served from cache)"
             log.record(
                 kind="query",
@@ -417,7 +397,7 @@ class Session:
                 rows=len(result),
                 distinct=result.distinct_count,
                 logical_time=self.database.logical_time,
-                fingerprint=self._fingerprint_for(expr),
+                fingerprint=plan.fingerprint,
             )
         return result
 

@@ -12,15 +12,16 @@ root schema diverges from the source tree's.
 Used two ways:
 
 * :func:`check_plan_consistency` — the raw report, for tools;
-* :func:`checked_optimize` — an ``optimize()`` wrapper raising
-  :class:`~repro.errors.LintError` on error findings; a strict-lint
-  :class:`~repro.language.Session` installs it as *the* optimizer, so
-  the check runs on every execution.
+* :func:`checked_optimize` — the optimizer pipeline gated on the check,
+  raising :class:`~repro.errors.LintError` on error findings; a
+  strict-lint :class:`~repro.language.Session` plans with it, so the
+  check runs on every plan it builds.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from functools import partial
+from typing import Any, Callable, List, Optional
 
 from repro.algebra import AlgebraExpr, LiteralRelation, RelationRef
 from repro.errors import LintError, ReproError
@@ -94,16 +95,21 @@ def check_plan_consistency(
 def checked_optimize(
     expr: AlgebraExpr,
     optimizer: Optional[Callable[[AlgebraExpr], AlgebraExpr]] = None,
+    catalog: Optional[Any] = None,
+    trace: Optional[List[Any]] = None,
 ) -> AlgebraExpr:
     """Optimize ``expr`` and gate the result on plan consistency.
 
     Raises :class:`~repro.errors.LintError` when the consistency check
     finds error-severity problems; otherwise returns the optimized tree
     unchanged.  With no ``optimizer`` supplied, the default pipeline
-    (:func:`repro.optimizer.optimize`) is used.
+    (:func:`repro.optimizer.optimize`) runs with ``catalog`` and
+    ``trace``, so a strict session's cost-based plans are checked too.
     """
     if optimizer is None:
-        from repro.optimizer import optimize as optimizer
+        from repro.optimizer import optimize
+
+        optimizer = partial(optimize, catalog=catalog, trace=trace)
     optimized = optimizer(expr)
     report = check_plan_consistency(expr, optimized)
     if not report.ok:

@@ -15,15 +15,15 @@ or more flagged::
 Feeding a report into
 :meth:`repro.engine.statistics.StatisticsCatalog.record_actuals` makes
 that catalog prefer observed cardinalities over its Selinger-style
-formulas.  Only later EXPLAIN ANALYZE runs given that catalog (a
-session in analyze mode included) plan with it; served queries
-(``Session.query`` outside analyze mode, the interpreter, the server)
-optimize without a catalog, so the feedback does not re-plan them.
-The paper's equivalence theorems make such feedback safe: every rewrite
-preserves the bag result, so re-planning can only change cost, never
-answers.
+formulas.  Only plans built with that catalog use it (:func:`analyze`
+runs, a session in analyze mode); served queries optimize without a
+catalog, so the feedback does not re-plan them.  The paper's
+equivalence theorems make such feedback safe: every rewrite preserves
+the bag result, so re-planning can only change cost, never answers.
 
-Nothing here executes unless :func:`analyze` is called.
+:func:`analyze_plan` runs a ready :class:`~repro.cache.Plan` (a
+session's EXPLAIN ANALYZE runs the plan it serves); :func:`analyze`
+first builds one cost-based.  Nothing runs unless one is called.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "AnalyzeReport",
     "annotate_estimates",
     "analyze",
+    "analyze_plan",
 ]
 
 #: An operator whose actual/estimated cardinality ratio (either way)
@@ -175,7 +176,7 @@ class AnalyzeReport:
     def __init__(
         self,
         operators: List[OperatorStats],
-        rewrites: List[str],
+        rewrites: Optional[List[str]],
         logical: str,
         optimized: str,
         seconds: float,
@@ -183,10 +184,12 @@ class AnalyzeReport:
         result_distinct: int,
         threshold: float = MISESTIMATE_THRESHOLD,
         cache: Optional[Dict[str, Any]] = None,
+        fingerprint: Optional[str] = None,
     ) -> None:
         #: Per-operator statistics in plan pre-order (root first).
         self.operators = operators
-        #: Names of the optimizer rules that fired, in order.
+        #: Names of the optimizer rules that fired, in order (None when
+        #: the plan came ready-made, e.g. a session's plan).
         self.rewrites = rewrites
         #: The original expression, rendered in the paper's notation.
         self.logical = logical
@@ -199,6 +202,8 @@ class AnalyzeReport:
         self.threshold = threshold
         #: Cache hit/miss provenance (None when no cache was attached).
         self.cache = cache
+        #: The run plan's normal-form fingerprint (the result-cache key).
+        self.fingerprint = fingerprint
         #: The materialised result relation (excluded from the JSON form).
         self.result: Optional[Any] = None
 
@@ -225,7 +230,8 @@ class AnalyzeReport:
             "threshold": self.threshold,
             "logical": self.logical,
             "optimized": self.optimized,
-            "rewrites": list(self.rewrites),
+            "fingerprint": self.fingerprint,
+            "rewrites": list(self.rewrites or ()),
             "operators": [op.to_dict() for op in self.operators],
             "misestimates": len(self.flagged()),
         }
@@ -244,7 +250,7 @@ class AnalyzeReport:
         ]
         if self.rewrites:
             lines.append("rewrites: " + ", ".join(self.rewrites))
-        else:
+        elif self.rewrites is not None:
             lines.append("rewrites: (none)")
         if self.cache is not None:
             served = self.cache.get("result_cached")
@@ -423,20 +429,49 @@ def analyze(
     record: bool = False,
     cache: Optional[Any] = None,
 ) -> AnalyzeReport:
-    """Run ``expr`` instrumented and return the annotated report.
+    """Plan ``expr`` cost-based, run it instrumented, return the report.
 
-    The pipeline: optimize (tracing which rules fire), plan, annotate
-    every physical operator with its estimated cardinality, execute with
-    per-operator counters and timers, then assemble the
-    :class:`AnalyzeReport` (its ``result`` attribute holds the
-    materialised relation).  ``catalog`` defaults to exact statistics of
-    ``env``; pass a session's long-lived catalog to accumulate feedback
-    across queries, and ``record=True`` to fold this run's actuals into
-    it immediately.  ``cache`` (a :class:`repro.cache.QueryCache`)
-    contributes hit/miss provenance to the report; the analyzed
-    execution itself never serves from the cache — actuals require an
-    actual run.  Operators are counted where their batches are handed
-    over, so the analyzed plan runs exactly the code a served query runs.
+    The "what if" form: :func:`~repro.cache.build_plan` optimizes with
+    ``catalog`` (default: exact statistics of ``env``), tracing which
+    rules fire, and :func:`analyze_plan` runs the plan.
+    """
+    from repro.cache.plan import build_plan
+    from repro.engine.statistics import StatisticsCatalog
+    from repro.optimizer import optimize
+
+    if catalog is None:
+        catalog = StatisticsCatalog.from_env(env)
+    trace: List[Any] = []
+    optimizer = optimize if use_optimizer else None
+    plan = build_plan(expr, optimizer, catalog=catalog, trace=trace)
+    rewrites = [rule for rule, _before, _after in trace]
+    return analyze_plan(
+        plan, expr, env, catalog, rewrites, threshold=threshold, record=record, cache=cache
+    )
+
+
+def analyze_plan(
+    plan: Any,
+    logical: Any,
+    env: Dict[str, Any],
+    catalog: Any,
+    rewrites: Optional[List[str]] = None,
+    threshold: float = MISESTIMATE_THRESHOLD,
+    record: bool = False,
+    cache: Optional[Any] = None,
+) -> AnalyzeReport:
+    """Run ``plan`` (a :class:`~repro.cache.Plan` of ``logical``) instrumented.
+
+    Every physical operator is annotated with ``catalog``'s estimated
+    cardinality, the plan runs under a meter, and the
+    :class:`AnalyzeReport` is assembled (its ``result`` attribute holds
+    the materialised relation).  ``rewrites`` names the rules that
+    fired, when they were traced; ``record=True`` folds the run's
+    actuals into ``catalog``.  ``cache`` (a :class:`repro.cache.QueryCache`)
+    contributes hit/miss provenance; the analyzed execution itself never
+    serves from the cache — actuals require an actual run.  Operators
+    are counted where their batches are handed over, so the analyzed
+    plan runs exactly the code a served query runs.
 
     ``analyze.runs`` / ``analyze.operators`` / ``analyze.seconds`` and
     ``plan.misestimate{op=...}`` accumulate in the metrics registry on
@@ -445,31 +480,20 @@ def analyze(
     """
     from repro import obs
     from repro.algebra import render
-    from repro.engine.profiler import metered, plan_records
-    from repro.engine.vector import collect_batches, plan_vector
-    from repro.engine.statistics import StatisticsCatalog
-    from repro.optimizer import optimize
+    from repro.engine.profiler import profile_plan
 
-    if catalog is None:
-        catalog = StatisticsCatalog.from_env(env)
-    rewrite_trace: List[Any] = []
     with obs.span("analyze"):
-        optimized = (
-            optimize(expr, catalog, rewrite_trace) if use_optimizer else expr
-        )
-        physical = plan_vector(optimized)
-        annotations = annotate_estimates(optimized, physical, catalog)
-        with metered() as meter:
-            started = time.perf_counter()
-            result = collect_batches(physical, env)
-            seconds = time.perf_counter() - started
+        annotations = annotate_estimates(plan.normalized, plan.physical, catalog)
+        started = time.perf_counter()
+        result, profile = profile_plan(plan.physical, env)
+        seconds = time.perf_counter() - started
 
     operators: List[OperatorStats] = []
-    for record in plan_records(physical, meter):
-        info = annotations.get(id(record.op), {})
+    for op_record in profile.profiles:
+        info = annotations.get(id(op_record.op), {})
         operators.append(
             OperatorStats(
-                record,
+                op_record,
                 est_rows=info.get("est"),
                 fingerprint=info.get("fingerprint"),
                 relation=info.get("relation"),
@@ -481,26 +505,24 @@ def analyze(
 
     cache_info: Optional[Dict[str, Any]] = None
     if cache is not None:
-        from repro.cache.fingerprint import fingerprint
-
-        normal_fp = fingerprint(optimized)
         cache_info = {
-            "fingerprint": normal_fp,
-            "result_cached": cache.result_cached(normal_fp),
+            "fingerprint": plan.fingerprint,
+            "result_cached": cache.result_cached(plan.fingerprint),
             "hits": cache.stats.result_hits,
             "misses": cache.stats.result_misses,
         }
 
     report = AnalyzeReport(
         operators=operators,
-        rewrites=[entry[0] for entry in rewrite_trace],
-        logical=render(expr),
-        optimized=render(optimized),
+        rewrites=rewrites,
+        logical=render(logical),
+        optimized=render(plan.normalized),
         seconds=seconds,
         result_rows=len(result),
         result_distinct=result.distinct_count,
         threshold=threshold,
         cache=cache_info,
+        fingerprint=plan.fingerprint,
     )
     report.result = result
 

@@ -9,26 +9,28 @@ does with it:
 * estimated cardinality and cost before and after;
 * the physical plan the planner chooses.
 
-:func:`explain_analyze` goes one step further and *runs* the plan with
-every operator instrumented, returning the estimate-vs-actual
-:class:`~repro.obs.analyze.AnalyzeReport` (see :mod:`repro.obs.analyze`).
+:func:`explain_analyze` (:func:`repro.obs.analyze.analyze`) goes one
+step further and *runs* the plan with every operator instrumented,
+returning the estimate-vs-actual
+:class:`~repro.obs.analyze.AnalyzeReport`.
 
-Used by the CLI's ``.explain`` / ``.analyze`` and handy in notebooks and
-tests.
+Both are "what if" reports for notebooks and tests: given an
+environment they optimize cost-based, which a served query does not.
+The CLI's ``.explain`` and ``.analyze`` show :meth:`Session.plan`'s plan.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import List, Mapping, Optional
 
 from repro.algebra import AlgebraExpr, render, render_tree
+from repro.cache.plan import Plan, build_plan
 from repro.engine import (
     StatisticsCatalog,
     estimate_cardinality,
     estimate_cost,
-    plan_physical,
 )
-from repro.obs.analyze import AnalyzeReport, analyze
+from repro.obs.analyze import analyze as explain_analyze
 from repro.optimizer import RewriteTrace, optimize
 from repro.relation import Relation
 
@@ -41,15 +43,16 @@ class ExplainReport:
     def __init__(
         self,
         original: AlgebraExpr,
-        optimized: AlgebraExpr,
+        plan: Plan,
         trace: RewriteTrace,
         catalog: Optional[StatisticsCatalog],
     ) -> None:
         self.original = original
-        self.optimized = optimized
+        self.plan = plan
+        self.optimized = plan.normalized
+        self.physical = plan.physical
         self.trace = trace
         self.catalog = catalog
-        self.physical = plan_physical(optimized)
 
     @property
     def rules_fired(self) -> List[str]:
@@ -110,33 +113,5 @@ def explain(
         else None
     )
     trace: RewriteTrace = []
-    optimized = optimize(expr, catalog, trace)
-    return ExplainReport(expr, optimized, trace, catalog)
-
-
-def explain_analyze(
-    expr: AlgebraExpr,
-    env: Dict[str, Relation],
-    catalog: Optional[StatisticsCatalog] = None,
-    record: bool = False,
-    cache: Optional[Any] = None,
-) -> AnalyzeReport:
-    """Run ``expr`` instrumented; return the estimate-vs-actual report.
-
-    Unlike :func:`explain`, this actually executes the query (the
-    result relation rides along as ``report.result``).  ``catalog``
-    defaults to exact statistics of ``env``; pass a long-lived catalog
-    (and ``record=True``) to accumulate the observed cardinalities that
-    make repeated queries re-plan from runtime truth::
-
-        report = explain_analyze(expr, env, catalog=catalog, record=True)
-        print(report)            # annotated plan tree, ⚠ on ≥10× misses
-        report.to_json()         # structured form for tooling
-    """
-    return analyze(
-        expr,
-        env,
-        catalog=catalog,
-        record=record,
-        cache=cache,
-    )
+    plan = build_plan(expr, optimize, catalog=catalog, trace=trace)
+    return ExplainReport(expr, plan, trace, catalog)

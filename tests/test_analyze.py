@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.algebra import Join, Product, RelationRef, Select, Unique
+from repro.algebra import Join, Product, RelationRef, Select, Unique, render
 from repro.cli import Shell
 from repro.engine.statistics import StatisticsCatalog, TableStats, estimate_cardinality
 from repro.language import Session
@@ -295,6 +295,10 @@ class TestSessionAnalyze:
         session.query(expr)
         record = session.query_log.records[-1]
         assert session.cache.result_cached(record.fingerprint)
+        # The log reads the plan that ran, not the tracer (off here).
+        plan = session.plan(expr)
+        assert record.fingerprint == plan.fingerprint
+        assert record.plan == render(plan.normalized)
 
 
 class TestXraAnalyze:

@@ -12,11 +12,19 @@ claim — a cache you cannot distinguish from no cache, except by speed.
 from __future__ import annotations
 
 import io
+import sys
+import threading
 
 import pytest
 
 from repro.algebra import GroupBy, LiteralRelation, RelationRef
-from repro.cache import QueryCache, base_relations, canonical_text, fingerprint
+from repro.cache import (
+    ConcurrentQueryCache,
+    QueryCache,
+    base_relations,
+    canonical_text,
+    fingerprint,
+)
 from repro.cli import Shell
 from repro.database import Database
 from repro.errors import EmptyAggregateError
@@ -334,6 +342,37 @@ class TestQueryCache:
         interpreter.run("? sel[%1 > 1](t1);")
         session.query(session.relation("t1").select("%1 > 1"))
         assert cache.stats.result_hits == 1
+
+    def test_concurrent_plan_level_keeps_one_plan_per_key(self, env):
+        """Threads missing one key together may each build a plan; all
+        of them get the one the cache kept."""
+        database = make_database(env)
+        cache = ConcurrentQueryCache()
+        t1 = Session(database).relation("t1")
+        exprs = [t1.select(f"%1 > {bound}") for bound in range(8)]
+        rounds, workers = 50, 8
+        handed_out: dict = {expr: set() for expr in exprs}
+
+        def look_up() -> None:
+            for _ in range(rounds):
+                for expr in exprs:
+                    handed_out[expr].add(id(cache.plan(expr, optimize, True)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=look_up) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(len(ids) == 1 for ids in handed_out.values())
+        stats = cache.stats
+        assert stats.plan_hits + stats.plan_misses == rounds * workers * len(exprs)
+        assert cache.plan_entries == len(exprs)
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,30 @@ def test_checked_optimize_passes_sound_optimizer():
     assert optimized.schema.compatible_with(expr.schema)
 
 
+def test_strict_session_never_adopts_a_shared_unchecked_plan(monkeypatch):
+    """A plan made without the consistency check is not served to a
+    strict session sharing the cache: it plans (and checks) its own."""
+    import repro.lint
+    from repro.cache import QueryCache
+    from repro.lint import Diagnostic, LintReport
+    from repro.lint import plan_check
+
+    db = Database(DatabaseSchema([BEER]))
+    cache = QueryCache()
+    expr = Select(parse_expression("%3 > 5.0"), beer())
+    Session(db, cache=cache, lint="warn").query(expr)
+    failing = LintReport([Diagnostic("XRA020", Severity.ERROR, "forced")])
+    for module in (plan_check, repro.lint):
+        monkeypatch.setattr(module, "check_plan_consistency", lambda *_: failing)
+    with pytest.raises(LintError):
+        Session(db, lint="strict").query(expr)
+    with pytest.raises(LintError):
+        Session(db, cache=cache, lint="strict").query(expr)
+    # Analyze mode plans cost-based with its catalog, checked all the same.
+    with pytest.raises(LintError):
+        Session(db, lint="strict", analyze=True).query(expr)
+
+
 # -- off is free --------------------------------------------------------
 
 
@@ -327,8 +351,10 @@ def test_lint_off_adds_no_per_query_work():
     db = Database(DatabaseSchema([BEER]))
     session = Session(db)
     assert session.lint_mode is None
-    # The optimizer used for execution is the raw pipeline, unwrapped.
-    assert session._exec_optimizer() is session._optimizer
+    # The optimizer plans are made with is the raw pipeline, unwrapped.
+    from repro.optimizer import optimize
+
+    assert session.context().optimizer is optimize
     session.query(beer())
     assert session.last_lint is None
 

@@ -57,6 +57,7 @@ from repro.optimizer import optimize
 from repro.relation import Relation
 from repro.schema import RelationSchema
 from repro.testing import random_environment
+from repro.workloads import tiny_beer_database
 from repro.workloads.beer import BEER_SCHEMA, BREWERY_SCHEMA
 from tests.test_differential import SEEDS, TINY_BATCH, assert_corpus_agrees
 
@@ -279,13 +280,19 @@ class TestPlanShapes:
         assert execute(expr, env) == reference
 
 
-def _compiled_sources(plan):
-    """Every generated source reachable from a plan's operators."""
-    sources = []
+def _walk(plan):
+    """Every operator of a physical plan."""
     stack = [plan]
     while stack:
         op = stack.pop()
         stack.extend(op.children())
+        yield op
+
+
+def _compiled_sources(plan):
+    """Every generated source reachable from a plan's operators."""
+    sources = []
+    for op in _walk(plan):
         for slot in dir(op):
             source = getattr(getattr(op, slot, None), "__compiled_source__", None)
             if source is not None:
@@ -320,9 +327,10 @@ class TestKernelMemo:
         assert collect_batches(plan, env) == evaluate(second, env)
 
     #: Distinct generated sources the two analytic_cold query shapes
-    #: compile at plan time: the selection kernel and one probe loop per
-    #: shape (the join keys are plain attributes, which need no source).
-    ANALYTIC_COLD_SOURCES = 3
+    #: compile at plan time: the selection kernel, one probe loop per
+    #: shape (the join keys are plain attributes, which need no source)
+    #: and the Γ accumulation loop.
+    ANALYTIC_COLD_SOURCES = 4
 
     def test_analytic_cold_shapes_compile_once(self):
         beer = RelationRef("beer", BEER_SCHEMA)
@@ -340,6 +348,7 @@ class TestKernelMemo:
                 ["country"], AVG, "alcperc", Join(selected, brewery, col(2).eq(col(4)))
             )
 
+        env = dict(tiny_beer_database().as_env())
         sources = set()
         for shape in (distinct_countries, avg_by_country):
             for serial in range(20):
@@ -351,6 +360,13 @@ class TestKernelMemo:
                         f"{shape.__name__} plan {serial} compiled a kernel"
                     )
                 sources.update(_compiled_sources(plan))
+                # A cached plan re-runs without touching the kernel cache.
+                collect_batches(plan, env)
+                lookups = _compile_source.cache_info()
+                collect_batches(plan, env)
+                assert _compile_source.cache_info() == lookups
+        [group_by] = [op for op in _walk(plan) if isinstance(op, VGroupByOp)]
+        assert group_by.accumulate.__compiled_source__ in sources
         assert len(sources) == self.ANALYTIC_COLD_SOURCES
 
 
